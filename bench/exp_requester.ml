@@ -6,7 +6,8 @@
    serves repeated read traffic: the same query workload is replayed
    several rounds against (a) the pre-fast-lane requester (per-node
    sign reads, no cache) and (b) Engine.request (CAM-checked
-   accessibility, bounded decision cache with epoch invalidation).
+   accessibility, memoized in the current snapshot's bounded decision
+   cache).
 
    Expected shape: the fast lane wins >= 5x on a repeated workload
    (rounds 2..n are pure cache hits); incremental CAM maintenance

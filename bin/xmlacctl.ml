@@ -27,40 +27,42 @@ module Pool = Xmlac_serve.Pool
 module Repl = Xmlac_replicate.Replicate
 module Timing = Xmlac_util.Timing
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let die fmt = Printf.ksprintf (fun m -> prerr_endline ("xmlacctl: " ^ m); exit 1) fmt
+
+(* [Sys_error] names the path when opening fails but not when reading
+   does (a directory, say). *)
+let read_file ~what path =
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error m ->
+    let prefix = path ^ ": " in
+    die "cannot read %s: %s" what
+      (if String.starts_with ~prefix m then m else prefix ^ m)
 
 let write_out path content =
   match path with
   | None -> print_string content
-  | Some p ->
-      let oc = open_out_bin p in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc content)
-
-let die fmt = Printf.ksprintf (fun m -> prerr_endline ("xmlacctl: " ^ m); exit 1) fmt
+  | Some p -> (
+      try Out_channel.with_open_bin p (fun oc -> output_string oc content)
+      with Sys_error m -> die "cannot write %s" m)
 
 let load_dtd = function
   | "hospital" -> Xmlac_workload.Hospital.dtd
   | "xmark" -> Xmlac_workload.Xmark.dtd
   | path -> (
-      match Xmlac_xml.Dtd.parse (read_file path) with
+      let what = "DTD (not a built-in: hospital, xmark)" in
+      match Xmlac_xml.Dtd.parse (read_file ~what path) with
       | Ok dtd -> dtd
       | Error m -> die "cannot parse DTD %s: %s" path m)
 
 let load_doc path =
-  match Xmlac_xml.Xml_parser.parse (read_file path) with
+  match Xmlac_xml.Xml_parser.parse (read_file ~what:"document" path) with
   | Ok doc -> doc
   | Error e ->
       die "cannot parse %s: %s" path
         (Format.asprintf "%a" Xmlac_xml.Xml_parser.pp_error e)
 
 let load_policy path =
-  match Policy_io.parse (read_file path) with
+  match Policy_io.parse (read_file ~what:"policy" path) with
   | Ok p -> p
   | Error e -> die "cannot parse policy %s: %s" path (Policy_io.error_to_string e)
 
@@ -436,12 +438,10 @@ let explain policy_path dtd_name doc_path raw requests subjects lane =
         subjects;
       let dc = Engine.decision_cache eng in
       Printf.printf
-        "  decision cache    %d/%d entries, %d eviction(s), %d stale \
-         drop(s), hit rate %.2f\n"
+        "  decision cache    %d/%d entries, %d eviction(s), hit rate %.2f\n"
         (Decision_cache.length dc)
         (Decision_cache.capacity dc)
         (Decision_cache.evictions dc)
-        (Decision_cache.stale_drops dc)
         (Xmlac_util.Metrics.hit_rate (Engine.metrics eng) ~hits:"cache.hits"
            ~misses:"cache.misses");
       print_endline "durability:";

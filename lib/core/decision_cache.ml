@@ -1,80 +1,36 @@
-type 'a entry = { epoch : int; value : 'a }
-
 type 'a t = {
   capacity : int;
-  table : (string, 'a entry) Hashtbl.t;
-  order : string Queue.t;  (* insertion order; may hold replaced keys *)
-  on_evict : int -> unit;
-  on_stale : int -> unit;
+  table : (string, 'a) Hashtbl.t;
+  order : string Queue.t;  (* the table's keys, oldest first *)
   mutable evictions : int;
-  mutable stale_drops : int;
 }
 
 let default_capacity = 256
 
-let create ?(capacity = default_capacity) ?(on_evict = ignore)
-    ?(on_stale = ignore) () =
-  if capacity < 1 then invalid_arg "Decision_cache.create: capacity < 1";
+let create ?(capacity = default_capacity) () =
+  if capacity < 1 then invalid_arg "Decision_cache: capacity < 1";
   {
     capacity;
     table = Hashtbl.create (min capacity 64);
     order = Queue.create ();
-    on_evict;
-    on_stale;
     evictions = 0;
-    stale_drops = 0;
   }
 
 let capacity t = t.capacity
 let length t = Hashtbl.length t.table
 let evictions t = t.evictions
-let stale_drops t = t.stale_drops
+let find t key = Hashtbl.find_opt t.table key
 
-let find t ~epoch key =
-  match Hashtbl.find_opt t.table key with
-  | Some e when e.epoch = epoch -> Some e.value
-  | Some _ ->
-      (* A decision from a previous document/annotation state: dead
-         weight under the current epoch — drop it eagerly so stale
-         entries never crowd out live ones. *)
-      Hashtbl.remove t.table key;
-      t.stale_drops <- t.stale_drops + 1;
-      t.on_stale 1;
-      None
-  | None -> None
-
-(* Evict in insertion order until under capacity.  The queue may hold
-   keys whose entry was since removed (stale-epoch eviction) — those
-   are skipped for free. *)
-let make_room t =
-  let evicted = ref 0 in
-  let rec go () =
-    if Hashtbl.length t.table >= t.capacity then
-      match Queue.take_opt t.order with
-      | None -> ()  (* queue exhausted: table was filled by re-adds *)
-      | Some key ->
-          if Hashtbl.mem t.table key then begin
-            Hashtbl.remove t.table key;
-            incr evicted
-          end;
-          go ()
-  in
-  go ();
-  if !evicted > 0 then begin
-    t.evictions <- t.evictions + !evicted;
-    t.on_evict !evicted
-  end
-
-let add t ~epoch key value =
+(* Entries leave only by eviction, so [order] holds exactly the
+   table's keys and one eviction always makes room. *)
+let add t key value =
   if not (Hashtbl.mem t.table key) then begin
-    make_room t;
+    if Hashtbl.length t.table >= t.capacity then begin
+      Hashtbl.remove t.table (Queue.take t.order);
+      t.evictions <- t.evictions + 1
+    end;
     Queue.add key t.order
   end;
-  Hashtbl.replace t.table key { epoch; value }
+  Hashtbl.replace t.table key value
 
-let iter f t =
-  Hashtbl.iter (fun key (e : 'a entry) -> f key ~epoch:e.epoch e.value) t.table
-
-let clear t =
-  Hashtbl.reset t.table;
-  Queue.clear t.order
+let iter f t = Hashtbl.iter f t.table

@@ -1,63 +1,39 @@
-(** Bounded, epoch-invalidated memo table for requester decisions.
+(** Bounded FIFO memo table for requester decisions.
 
     The paper's requester (Section 4) recomputes each all-or-nothing
     decision from the materialized signs on every call; under the
     read-heavy workloads the roadmap targets, the same XPath queries
     arrive over and over between document updates.  This cache makes
     the repeat case O(1): decisions are stored under a string key
-    (backend + query text) tagged with the {e epoch} — the engine's
-    version counter, bumped on every annotation or document change —
-    and a lookup only answers when the stored epoch matches, so no
-    decision computed against an old document or policy state can ever
-    be served.
+    (lane + store + subject + query text).
 
-    Capacity is bounded; when full, entries are evicted in insertion
-    order (and entries invalidated by an epoch bump are dropped lazily
-    as they are encountered).  The cache stores values of any type —
-    the engine instantiates it at {!Requester.decision}. *)
+    Every cache belongs to one immutable {!Snapshot.t}, so an entry can
+    never go stale: a new epoch publishes a new snapshot with a new
+    cache.  Capacity is bounded; when full, entries are evicted in
+    insertion order.  The cache stores values of any type — the
+    snapshot instantiates it at its memo record. *)
 
 type 'a t
 
 val default_capacity : int
 (** 256. *)
 
-val create :
-  ?capacity:int ->
-  ?on_evict:(int -> unit) ->
-  ?on_stale:(int -> unit) ->
-  unit ->
-  'a t
-(** [on_evict] is called with the number of live entries evicted to
-    make room for an insert, [on_stale] with the number of
-    stale-epoch entries dropped by a lookup — the hooks the engine
-    uses to mirror cache churn into its {!Xmlac_util.Metrics}
-    registry ([cache.evictions], [cache.stale_drops]).  Both default
-    to no-ops.
-    @raise Invalid_argument when [capacity < 1]. *)
+val create : ?capacity:int -> unit -> 'a t
+(** @raise Invalid_argument when [capacity < 1]. *)
 
-val find : 'a t -> epoch:int -> string -> 'a option
-(** The cached value, iff it was stored under the same [epoch].  An
-    entry from an older epoch is removed on sight. *)
+val find : 'a t -> string -> 'a option
 
-val add : 'a t -> epoch:int -> string -> 'a -> unit
-(** Inserts (or overwrites) the entry, evicting the oldest ones when
+val add : 'a t -> string -> 'a -> unit
+(** Inserts (or overwrites) the entry, evicting the oldest one when
     the table is at capacity. *)
 
 val length : 'a t -> int
 val capacity : 'a t -> int
 
 val evictions : 'a t -> int
-(** Lifetime count of live entries evicted for capacity. *)
+(** Lifetime count of entries evicted for capacity. *)
 
-val stale_drops : 'a t -> int
-(** Lifetime count of stale-epoch entries dropped on lookup. *)
-
-val iter : (string -> epoch:int -> 'a -> unit) -> 'a t -> unit
-(** Visits every live entry (unspecified order) with its stored epoch
-    — the snapshot layer's carry-forward walk, which re-adds entries
-    that survive an epoch's change set into the next snapshot's
-    cache. *)
-
-val clear : 'a t -> unit
-(** Drops every entry.  Not counted as eviction — clearing is the
-    epoch-invalidation fast path, not capacity pressure. *)
+val iter : (string -> 'a -> unit) -> 'a t -> unit
+(** Visits every entry (unspecified order) — the snapshot layer's
+    carry-forward walk, which re-adds entries that survive an epoch's
+    change set into the next snapshot's cache. *)

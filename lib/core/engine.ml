@@ -86,21 +86,13 @@ type t = {
   row : Backend.t;
   column : Backend.t;
   journals : (backend_kind * Backend.journal) list;
-  (* The request fast lane: a CAM over the native store's signs,
-     maintained incrementally, plus a bounded per-(backend, query)
-     decision cache invalidated by bumping [epoch].  [annotated] lists
-     the kinds annotated so far: relational requests may borrow the
-     native CAM only while all stores are known to be in lockstep. *)
+  (* The CAM over the native store's signs, maintained incrementally
+     and frozen into every published snapshot, whose copy the request
+     path checks against.  [annotated] lists the kinds annotated so
+     far: relational requests may borrow the native CAM only while all
+     stores are known to be in lockstep. *)
   metrics : Metrics.t;
-  cache : Requester.decision Decision_cache.t;
   mutable cam : Cam.t;
-  (* Per-role CAMs over the native store's bitmap slices, built lazily
-     on the first subject request for that role and dropped whenever
-     the bitmaps (or the document) may have moved — with hundreds of
-     roles an eager rebuild of every map per epoch would dwarf the
-     annotation itself. *)
-  role_cams : (int, Cam.t) Hashtbl.t;
-  mutable epoch : int;
   mutable annotated : backend_kind list;
   mutable bits_annotated : backend_kind list;
   mutable divergent : bool;
@@ -112,6 +104,12 @@ type t = {
   (* MVCC: every committed sign epoch is published as an immutable
      snapshot; readers pin one and never block on the writer. *)
   snapshots : Snapshot.registry;
+  (* Set while a publish is in flight and left set when it raises (the
+     [snapshot.publish] fault fires after [commit_op] advanced
+     [sign_epoch], or after [refresh]/[cam_check] changed what the
+     snapshot must hold): the current snapshot then lags the committed
+     state, and its CAM and memos must not answer live requests. *)
+  mutable unpublished : bool;
   (* Replication: a read-only replica refuses caller mutations; only
      [apply_replica] (which sets [applying] for its extent) may open
      epochs on it.  Promotion flips [read_only] back off. *)
@@ -122,8 +120,11 @@ type t = {
 (* Freeze the committed materialization as of [sign_epoch] and install
    it as the current snapshot.  Called only between epochs (after
    [commit_op], at creation, after recovery) — never inside an open
-   epoch — so a reader can never pin partial state. *)
-let publish_snapshot t =
+   epoch — so a reader can never pin partial state.  [~carry:false]
+   starts the new snapshot cold, for when the outgoing one's memos
+   cannot be trusted. *)
+let publish_snapshot ?(carry = true) t =
+  t.unpublished <- true;
   let snap =
     (* The annotation flags describe the native tree being frozen —
        that is what snapshot requests read — so [Snapshot.request]'s
@@ -134,16 +135,21 @@ let publish_snapshot t =
        memoized decisions and per-role maps instead of cold-starting;
        the capture itself is an O(changed) [Tree.freeze], not a
        copy. *)
-    Snapshot.capture ?prev:(Snapshot.current t.snapshots)
+    Snapshot.capture
+      ?prev:(if carry then Snapshot.current t.snapshots else None)
       ~epoch:t.sign_epoch ~policy:t.policy ~cam:t.cam
       ~annotated:(List.mem Native t.annotated || t.divergent)
       ~bits_annotated:(List.mem Native t.bits_annotated || t.divergent)
       ~metrics:t.metrics t.doc
   in
-  Snapshot.publish t.snapshots snap
+  Snapshot.publish t.snapshots snap;
+  t.unpublished <- false
 
-let create ?(mode = Paper_mode) ?(optimize = true) ?cache_capacity ~dtd ~policy
-    doc =
+(* Finish a publish that raised, cold: the lagging snapshot's memos
+   were decided against the state it froze. *)
+let catch_up t = if t.unpublished then publish_snapshot ~carry:false t
+
+let create ?(mode = Paper_mode) ?(optimize = true) ~dtd ~policy doc =
   let mapping = Xmlac_shrex.Mapping.of_dtd dtd in
   let sg = Xmlac_shrex.Mapping.schema_graph mapping in
   let original_policy = policy in
@@ -197,20 +203,14 @@ let create ?(mode = Paper_mode) ?(optimize = true) ?cache_capacity ~dtd ~policy
     column = wrap Column_sql (Rel_backend.make mapping col_db);
     journals;
     metrics;
-    cache =
-      Decision_cache.create ?capacity:cache_capacity
-        ~on_evict:(Metrics.add metrics "cache.evictions")
-        ~on_stale:(Metrics.add metrics "cache.stale_drops")
-        ();
     cam = Cam.build native_doc ~default:(Policy.ds policy);
-    role_cams = Hashtbl.create 8;
-    epoch = 0;
     annotated = [];
     bits_annotated = [];
     divergent = false;
     sign_epoch = 0;
     open_op = None;
     snapshots = Snapshot.create_registry ~metrics ();
+    unpublished = false;
     read_only = false;
     applying = false;
   }
@@ -223,7 +223,6 @@ let create ?(mode = Paper_mode) ?(optimize = true) ?cache_capacity ~dtd ~policy
 
 let policy t = t.policy
 let original_policy t = t.original_policy
-let decision_cache t = t.cache
 let optimizer_report t = t.report
 let mapping t = t.mapping
 let schema_graph t = t.sg
@@ -231,7 +230,6 @@ let depend t = t.depend
 let plan t = t.plan
 let metrics t = t.metrics
 let cam t = t.cam
-let epoch t = t.epoch
 let sign_epoch t = t.sign_epoch
 let open_epoch t = Option.map (fun o -> o.num) t.open_op
 let snapshots t = t.snapshots
@@ -241,6 +239,7 @@ let current_snapshot t =
   | Some s -> s
   | None -> assert false (* published at creation, never emptied *)
 
+let decision_cache t = Snapshot.decision_cache (current_snapshot t)
 let pin_snapshot t = Snapshot.pin t.snapshots
 let unpin_snapshot t snap = Snapshot.unpin t.snapshots snap
 
@@ -261,27 +260,23 @@ let backend t = function
 
 let document t = t.doc
 
-(* All stores agree sign-for-sign when they share a history: either
-   none has been annotated yet (all still carry the load-time default)
-   or all three have been annotated since the last known divergence.
-   Engine-level updates repair every store, so they preserve whichever
-   of the two states holds; {!refresh} declares a divergence (signs
-   were mutated behind the engine's back) that only annotating all
-   three stores clears. *)
-let in_lockstep t =
-  match t.annotated with
+(* The stores with a committed annotation epoch for the layer a
+   request reads: signs for the anonymous subject, role bitmaps for a
+   named one. *)
+let annotated_layer ?subject t =
+  match subject with None -> t.annotated | Some _ -> t.bits_annotated
+
+(* All stores agree on a layer when they share a history: either none
+   has been annotated yet (all still carry the load-time default sign
+   or bitmap) or all three have been annotated since the last known
+   divergence.  Engine-level updates repair every store, so they
+   preserve whichever of the two states holds; {!refresh} declares a
+   divergence (signs were mutated behind the engine's back) that only
+   annotating all three stores clears. *)
+let in_lockstep ?subject t =
+  match annotated_layer ?subject t with
   | [] -> not t.divergent
   | ks -> List.length ks = 3
-
-(* Same reasoning for the bitmap layer: the stores' bitmaps agree when
-   none has run the shared pass yet (all carry the load-time default
-   bitmap) or all three have. *)
-let in_bits_lockstep t =
-  match t.bits_annotated with
-  | [] -> not t.divergent
-  | ks -> List.length ks = 3
-
-let bump_epoch t = t.epoch <- t.epoch + 1
 
 let role_index t role =
   match Subject.index (Policy.subjects t.policy) role with
@@ -291,22 +286,7 @@ let role_index t role =
         (Printf.sprintf "Engine: unknown role %S (declared: %s)" role
            (String.concat ", " (Policy.roles t.policy)))
 
-let role_cam_idx t idx =
-  match Hashtbl.find_opt t.role_cams idx with
-  | Some c -> c
-  | None ->
-      let role = Subject.name_of (Policy.subjects t.policy) idx in
-      let c =
-        Cam.build_role t.doc ~role:idx
-          ~default:(Policy.resolved_ds t.policy role)
-      in
-      Hashtbl.replace t.role_cams idx c;
-      Metrics.incr t.metrics "cam.role_builds";
-      c
-
-let role_cam t role = role_cam_idx t (role_index t role)
-
-let drop_role_cams t = Hashtbl.reset t.role_cams
+let role_cam t role = Snapshot.role_cam (current_snapshot t) role
 
 let rebuild_cam t =
   Metrics.incr t.metrics "cam.full_rebuilds";
@@ -339,17 +319,18 @@ let cam_check t =
   let ok = Cam.equal t.cam fresh in
   if not ok then begin
     Metrics.incr t.metrics "cam.check_failures";
-    t.cam <- fresh
+    t.cam <- fresh;
+    (* Requests check against the snapshot's frozen copy of the faulty
+       map, and its memos were decided with it: republish, cold.  An
+       open epoch publishes when it commits or recovers. *)
+    if t.open_op = None then publish_snapshot ~carry:false t
   end;
   ok
 
 let refresh t =
-  bump_epoch t;
-  Decision_cache.clear t.cache;
   t.divergent <- true;
   t.annotated <- [];
   t.bits_annotated <- [];
-  drop_role_cams t;
   rebuild_cam t;
   (* The signs moved behind the engine's back; the current snapshot no
      longer reflects them.  Republish under the same sign epoch —
@@ -375,6 +356,10 @@ let begin_op t op =
             before mutating again"
            o.num)
   | None -> ());
+  (* Publish before opening: once the epoch is open, a lagging
+     snapshot could no longer be caught up without freezing partial
+     state. *)
+  catch_up t;
   let num = t.sign_epoch + 1 in
   Wal.begin_epoch t.wal_row num;
   Wal.begin_epoch t.wal_col num;
@@ -409,7 +394,6 @@ let commit_op t o =
 let annotate t kind =
   let o = begin_op t (Op_annotate kind) in
   let stats = Annotator.annotate_with_plan (backend t kind) t.plan in
-  bump_epoch t;
   if not (List.mem kind t.annotated) then t.annotated <- kind :: t.annotated;
   if List.length t.annotated = 3 then t.divergent <- false;
   if kind = Native then
@@ -426,10 +410,8 @@ let annotate_subjects t kind =
     Metrics.time t.metrics "annotate.subjects" (fun () ->
         Annotator.annotate_subjects ~schema:t.sg (backend t kind) t.policy)
   in
-  bump_epoch t;
   if not (List.mem kind t.bits_annotated) then
     t.bits_annotated <- kind :: t.bits_annotated;
-  if kind = Native then drop_role_cams t;
   commit_op t o;
   stats
 
@@ -450,37 +432,7 @@ let reannotate_bits t =
         (fun k ->
           ignore
             (Annotator.annotate_subjects ~schema:t.sg (backend t k) t.policy))
-        (List.rev ks);
-      drop_role_cams t
-
-let effective_plus t b id =
-  Backend.effective_sign b ~default:(Policy.ds t.policy) id = Tree.Plus
-
-let request_uncached t kind expr =
-  let b = backend t kind in
-  if kind = Native || in_lockstep t then begin
-    let ids =
-      Metrics.time t.metrics "request.eval" (fun () ->
-          b.Backend.eval_ids expr)
-    in
-    Metrics.add t.metrics "cam.lookups" (List.length ids);
-    Metrics.time t.metrics "request.check" (fun () ->
-        Requester.decide ~ids ~accessible:(fun id ->
-            match Tree.find t.doc id with
-            | Some n -> Cam.lookup t.cam n = Tree.Plus
-            | None ->
-                (* Not in the native tree (should not happen while the
-                   stores are in lockstep): fall back to the backend's
-                   own signs. *)
-                effective_plus t b id))
-  end
-  else begin
-    (* This store's signs have diverged from the native ones (only one
-       of the two annotation states reached it); the CAM does not
-       describe it, so read its signs directly. *)
-    Metrics.incr t.metrics "fastlane.bypass";
-    Requester.request b ~default:(Policy.ds t.policy) expr
-  end
+        (List.rev ks)
 
 (* The role's per-node sign, read off the bitmap layer: explicit where
    a bitmap is materialized, the role's resolved default elsewhere
@@ -493,46 +445,53 @@ let role_sign t b idx id =
   then Tree.Plus
   else Tree.Minus
 
-let request_uncached_subject t kind (role, idx) expr =
+(* The materialized lane on a live store: evaluate through the store,
+   check accessibility against the snapshot's frozen CAM (the role's
+   map for a subject).  A store whose signs (or bitmaps) have diverged
+   from the native ones — only one of the two annotation states
+   reached it — is not described by that CAM, so it reads its own. *)
+let request_materialized t snap kind subj expr =
   let b = backend t kind in
-  if kind = Native || in_bits_lockstep t then begin
+  let own =
+    match subj with
+    | None -> Backend.effective_sign b ~default:(Policy.ds t.policy)
+    | Some (_, idx) -> role_sign t b idx
+  in
+  let subject = Option.map fst subj in
+  if kind = Native || in_lockstep ?subject t then begin
     let ids =
       Metrics.time t.metrics "request.eval" (fun () ->
           b.Backend.eval_ids expr)
     in
-    Metrics.add t.metrics "cam.lookups" (List.length ids);
-    Metrics.add t.metrics ("cam.lookups." ^ role) (List.length ids);
-    let cam = role_cam_idx t idx in
+    let n = List.length ids in
+    Metrics.add t.metrics "cam.lookups" n;
+    Option.iter
+      (fun role -> Metrics.add t.metrics ("cam.lookups." ^ role) n)
+      subject;
+    (* An id missing from the frozen tree (not expected while the
+       stores are in lockstep) falls back to the store's own signs. *)
+    let accessible =
+      Snapshot.accessible ?subject snap ~absent:(fun id -> own id = Tree.Plus)
+    in
     Metrics.time t.metrics "request.check" (fun () ->
-        Requester.decide ~ids ~accessible:(fun id ->
-            match Tree.find t.doc id with
-            | Some n -> Cam.lookup cam n = Tree.Plus
-            | None -> role_sign t b idx id = Tree.Plus))
+        Requester.decide ~ids ~accessible)
   end
   else begin
-    (* This store's bitmaps have diverged from the native ones; the
-       per-role CAM does not describe it, so read its bits directly. *)
     Metrics.incr t.metrics "fastlane.bypass";
-    Metrics.incr t.metrics ("fastlane.bypass." ^ role);
-    Requester.request_via ~sign:(role_sign t b idx) b expr
+    Option.iter
+      (fun role -> Metrics.incr t.metrics ("fastlane.bypass." ^ role))
+      subject;
+    Requester.request_via ~sign:own b expr
   end
 
 (* --- lane selection ------------------------------------------------ *)
-
-(* Whether the materialized layer a request would read — signs for the
-   anonymous subject, role bitmaps for a named one — has a committed
-   annotation epoch on this store. *)
-let lane_annotated ?subject t kind =
-  match subject with
-  | None -> List.mem kind t.annotated
-  | Some _ -> List.mem kind t.bits_annotated
 
 let resolve_lane ?subject ?(lane = Rewrite.Auto) t kind =
   match lane with
   | Rewrite.Materialized -> (Rewrite.Materialized, "forced")
   | Rewrite.Rewrite -> (Rewrite.Rewrite, "forced")
   | Rewrite.Auto ->
-      if lane_annotated ?subject t kind then
+      if List.mem kind (annotated_layer ?subject t) then
         (Rewrite.Materialized, "annotated store")
       else if t.divergent then
         (* [refresh] declared the signs mutated behind the engine's
@@ -548,79 +507,72 @@ let resolve_lane ?subject ?(lane = Rewrite.Auto) t kind =
    otherwise) and evaluate the granted/residue pair through the
    backend — zero sign or bitmap reads, so a cold store answers the
    true policy decision. *)
-let request_rewritten t kind subj expr =
+let request_rewritten t kind subject expr =
   let b = backend t kind in
   Metrics.time t.metrics "request.rewrite" (fun () ->
-      match subj with
+      match subject with
       | None ->
           Requester.request_rewritten ~schema:t.sg ~plan:t.plan b t.policy expr
-      | Some (role, _) ->
+      | Some role ->
           Requester.request_rewritten ~schema:t.sg ~subject:role b t.policy
             expr)
 
+(* Every live request is answered through the current snapshot: its
+   cache memoizes the decision under a key carrying the store, and its
+   frozen CAM checks accessibility, while evaluation still runs on the
+   live store. *)
 let request ?subject ?lane t kind query =
   Metrics.time t.metrics "request" (fun () ->
       (* Resolve (and validate) the role before consulting the cache so
          an unknown role raises instead of poisoning a cache slot. *)
-      let subj =
-        match subject with
-        | None -> None
-        | Some role -> Some (role, role_index t role)
-      in
+      let subj = Option.map (fun role -> (role, role_index t role)) subject in
       let lane, _reason = resolve_lane ?subject ?lane t kind in
-      (* The effective lane is part of the cache key: the two lanes are
-         answer-equivalent only while the materialized layer is fresh,
-         and a forced-lane caller must not be served the other lane's
-         memo. *)
-      let lane_tag =
-        match lane with Rewrite.Rewrite -> "R\x00" | _ -> "M\x00"
-      in
-      let key =
-        match subject with
-        | None -> lane_tag ^ backend_kind_to_string kind ^ "\x00" ^ query
-        | Some role ->
-            lane_tag ^ backend_kind_to_string kind ^ "\x00@" ^ role ^ "\x00"
-            ^ query
-      in
       let tally base =
         Metrics.incr t.metrics base;
-        match subject with
-        | Some role -> Metrics.incr t.metrics (base ^ "." ^ role)
-        | None -> ()
+        Option.iter
+          (fun role -> Metrics.incr t.metrics (base ^ "." ^ role))
+          subject
       in
-      match Decision_cache.find t.cache ~epoch:t.epoch key with
+      (* Outside an open epoch ([begin_op] catches up first), so
+         this never freezes partial state. *)
+      catch_up t;
+      let snap = current_snapshot t in
+      let key =
+        Snapshot.key ~store:(backend_kind_to_string kind) ?subject lane query
+      in
+      match Snapshot.cached snap key with
       | Some d ->
           tally "cache.hits";
           d
       | None ->
           tally "cache.misses";
-          let expr = Requester.parse_or_fail query in
-          let evictions_before = Decision_cache.evictions t.cache in
+          let cache = Snapshot.decision_cache snap in
+          let evictions0 = Decision_cache.evictions cache in
           let d =
-            match lane with
-            | Rewrite.Rewrite ->
-                Metrics.incr t.metrics "lane.rewrite";
-                (match subject with
-                | Some role -> Metrics.incr t.metrics ("lane.rewrite." ^ role)
-                | None -> ());
-                request_rewritten t kind subj expr
-            | _ -> (
-                Metrics.incr t.metrics "lane.materialized";
-                match subj with
-                | None -> request_uncached t kind expr
-                | Some s -> request_uncached_subject t kind s expr)
+            Snapshot.remember snap key (fun () ->
+                let expr = Requester.parse_or_fail query in
+                let decision =
+                  match lane with
+                  | Rewrite.Rewrite ->
+                      tally "lane.rewrite";
+                      request_rewritten t kind subject expr
+                  | _ ->
+                      Metrics.incr t.metrics "lane.materialized";
+                      request_materialized t snap kind subj expr
+                in
+                { Snapshot.source = Live; decision })
           in
-          Decision_cache.add t.cache ~epoch:t.epoch key d;
-          (match subject with
-          | Some role ->
-              (* Attribute evictions to the role whose insert forced
-                 them — the per-role churn [explain --request] shows. *)
-              let forced =
-                Decision_cache.evictions t.cache - evictions_before
-              in
-              if forced > 0 then
-                Metrics.add t.metrics ("cache.evictions." ^ role) forced
-          | None -> ());
+          (* Attribute evictions to the request (and role) whose insert
+             forced them — the per-role churn [explain --request]
+             shows. *)
+          let forced = Decision_cache.evictions cache - evictions0 in
+          if forced > 0 then begin
+            Metrics.add t.metrics "cache.evictions" forced;
+            Option.iter
+              (fun role ->
+                Metrics.add t.metrics ("cache.evictions." ^ role) forced)
+              subject
+          end;
           d)
 
 let request_direct ?subject t kind query =
@@ -646,12 +598,10 @@ let update t query =
         (k, Reannotator.finish ~schema:t.sg b t.depend prepared ~deleted_roots))
       all_backend_kinds
   in
-  bump_epoch t;
   (match List.assoc_opt Native stats with
   | Some s -> maintain_cam t ~changed:s.Reannotator.changed ~roots:[]
   | None -> rebuild_cam t);
   reannotate_bits t;
-  drop_role_cams t;
   commit_op t o;
   stats
 
@@ -714,11 +664,9 @@ let insert t ~at ~fragment =
     [ (Native, native_stats); rel Row_sql t.row t.row_db;
       rel Column_sql t.column t.col_db ]
   in
-  bump_epoch t;
   maintain_cam t ~changed:native_stats.Reannotator.changed
     ~roots:(List.map (fun (n : Tree.node) -> n.Tree.id) o.new_roots);
   reannotate_bits t;
-  drop_role_cams t;
   commit_op t o;
   stats
 
@@ -788,18 +736,17 @@ let recover t =
          epoch and left no partial state.  This makes recover
          idempotent — a second call after a completed recovery finds
          committed WAL tails and no open epoch, so it leaves every
-         counter, the request epoch, the cache and the CAM untouched. *)
+         counter, the snapshot and the CAM untouched. *)
       if wal_dropped > 0 then begin
         Metrics.incr t.metrics "recovery.runs";
         Metrics.add t.metrics "recovery.wal_dropped" wal_dropped
       end;
       (* One exception to "leave everything untouched": a crash that
-         hit after commit but before the snapshot publish leaves the
-         registry an epoch behind.  Republishing is invisible to every
-         other observable (epoch, counters, caches), so recover stays
-         idempotent. *)
-      if Snapshot.current_epoch t.snapshots <> Some t.sign_epoch then
-        publish_snapshot t;
+         hit after commit (or a refresh or repair) but before the
+         snapshot publish leaves the registry behind.  Republishing is
+         invisible to every other observable (epoch, counters, CAM),
+         so recover stays idempotent. *)
+      catch_up t;
       {
         recovered_epoch = None;
         direction = `None;
@@ -848,10 +795,7 @@ let recover t =
       t.sign_epoch <- o.num;
       t.open_op <- None;
       List.iter (fun (_, j) -> Backend.journal_stop j) t.journals;
-      bump_epoch t;
-      Decision_cache.clear t.cache;
       rebuild_cam t;
-      drop_role_cams t;
       (* The recovered epoch is committed; publish it like any other.
          Readers pinned through the crash keep their pre-crash
          snapshot untouched. *)

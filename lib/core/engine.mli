@@ -11,17 +11,20 @@
     {2 The request fast lane}
 
     The paper's requester (Section 4) reads the materialized sign of
-    every selected node on every call.  The engine instead owns a
+    every selected node on every call.  The engine instead maintains a
     {!Cam} over the native store's signs — O(depth) lookups against a
     map whose size follows the sign {e changes}, not the document —
-    and a bounded {!Decision_cache} keyed by (backend, query text), so
-    a query repeated between updates costs one hash lookup.  Every
-    mutation ({!annotate}, {!update}, {!insert}) bumps the engine's
-    {!epoch}, which invalidates all cached decisions at once; document
-    updates repair the CAM {e incrementally} from the re-annotator's
-    changed-id report ([Reannotator.stats.changed]), with a full
-    rebuild as fallback ({!cam_check} verifies the incremental map
-    against a fresh build).  The whole path is instrumented through
+    and answers every request through the current {!Snapshot.t}: the
+    snapshot's frozen copy of the CAM checks accessibility and its
+    bounded {!Decision_cache} memoizes the decision under a key
+    carrying the store, so a query repeated between updates costs one
+    hash lookup.  Every committed mutation ({!annotate}, {!update},
+    {!insert}) publishes a new snapshot with a fresh cache, so no
+    decision outlives its epoch; document updates repair the CAM
+    {e incrementally} from the re-annotator's changed-id report
+    ([Reannotator.stats.changed]), with a full rebuild as fallback
+    ({!cam_check} verifies the incremental map against a fresh
+    build).  The whole path is instrumented through
     {!Xmlac_util.Metrics} — cache hits/misses, CAM lookups and touched
     entries, per-stage timings — surfaced by [xmlacctl explain
     --request] and the [exp_requester] bench.
@@ -45,8 +48,8 @@
     materialization) or re-apply the structural mutation and re-run the
     repair from the stashed {!Reannotator.prepared} state (structural
     operations land on the post-operation materialization).  Either
-    way the stores are back in lockstep, the CAM and decision cache are
-    rebuilt coherently, and the epoch counter never runs backwards —
+    way the stores are back in lockstep, the CAM is rebuilt and a fresh
+    snapshot published, and the epoch counter never runs backwards —
     an aborted epoch's number is consumed. *)
 
 type backend_kind = Native | Row_sql | Column_sql
@@ -62,15 +65,13 @@ type t
 val create :
   ?mode:trigger_mode ->
   ?optimize:bool ->
-  ?cache_capacity:int ->
   dtd:Xmlac_xml.Dtd.t ->
   policy:Policy.t ->
   Xmlac_xml.Tree.t ->
   t
 (** [optimize] (default [true]) runs redundancy elimination first.
-    [cache_capacity] bounds the decision cache (default
-    {!Decision_cache.default_capacity}).  The source document is
-    copied; the caller's tree is not touched. *)
+    The source document is copied; the caller's tree is not
+    touched. *)
 
 val policy : t -> Policy.t
 (** The (possibly optimized) policy in force. *)
@@ -96,17 +97,16 @@ val document : t -> Xmlac_xml.Tree.t
 (** The native store's live document. *)
 
 val annotate : t -> backend_kind -> Annotator.stats
-(** Full annotation of one store; bumps the {!epoch} and, for the
-    native store, rebuilds the CAM. *)
+(** Full annotation of one store in one sign epoch; for the native
+    store, rebuilds the CAM. *)
 
 val annotate_all : t -> (backend_kind * Annotator.stats) list
 
 val annotate_subjects : t -> backend_kind -> Annotator.subjects_stats
 (** The multi-subject shared pass ({!Annotator.annotate_subjects}) on
     one store: every role's accessibility materialized as per-node
-    bitmaps in one annotation epoch.  Bumps the {!epoch}; the native
-    store's per-role CAMs are dropped and rebuilt lazily on the next
-    subject request.  Crash-safe like {!annotate}: a killed pass is
+    bitmaps in one annotation epoch; the next snapshot builds its
+    per-role CAMs afresh.  Crash-safe like {!annotate}: a killed pass is
     rolled back through the bitmap journal, never leaving a partial
     bitmap visible. *)
 
@@ -119,15 +119,17 @@ val request :
   backend_kind ->
   string ->
   Requester.decision
-(** All-or-nothing query answering.  Two enforcement lanes share the
-    entry point (and the decision cache, whose key carries the
-    effective lane):
+(** All-or-nothing query answering, through the current snapshot: the
+    decision is served from (or memoized in) the snapshot's decision
+    cache, whose key carries the store, the effective lane and the
+    subject.  On a miss the request is evaluated on the live store —
+    so it crosses the store's own fault points and deadline
+    checkpoints — through one of two enforcement lanes:
 
     {ul
-    {- {e materialized} — the paper's lane and the fast path: served
-       from the decision cache when the query repeats within the
-       current epoch, otherwise evaluated through the backend with
-       accessibility checked against the CAM.  (While the stores are
+    {- {e materialized} — the paper's lane and the fast path:
+       evaluated through the backend with accessibility checked
+       against the snapshot's frozen CAM.  (While the stores are
        known to have diverged — some but not all annotated —
        relational requests read their own signs directly.)}
     {- {e rewrite} — the request is compiled against the policy
@@ -144,9 +146,16 @@ val request :
 
     [~subject] answers for one role instead of the anonymous
     single-subject view: accessibility is checked against that role's
-    bitmap slice — through a lazily built per-role CAM on the fast
-    path — the cache key carries the role, and the cache/CAM counters
-    are additionally tallied per role ([cache.hits.<role>], …).
+    bitmap slice — through the snapshot's per-role CAM
+    ({!Snapshot.role_cam}) on the fast path — the cache key carries
+    the role, and the cache/CAM counters are additionally tallied per
+    role ([cache.hits.<role>], …).
+
+    A snapshot whose publish raised (the [snapshot.publish] fault
+    after a commit, a {!refresh} or a {!cam_check} repair) lags the
+    engine: its CAM and memos describe an older state.  The request
+    first republishes the current state, cold, so a lagging snapshot
+    never answers.
     @raise Invalid_argument on a malformed query (naming the
     expression and error position) or an unknown role. *)
 
@@ -170,8 +179,8 @@ val request_direct :
 
 val update : t -> string -> (backend_kind * Reannotator.stats) list
 (** Applies a delete update (XPath string) to every store and
-    re-annotates each partially; bumps the {!epoch} and repairs the
-    CAM incrementally from the native store's changed-id report. *)
+    re-annotates each partially in one sign epoch; repairs the CAM
+    incrementally from the native store's changed-id report. *)
 
 val insert :
   t -> at:string -> fragment:Xmlac_xml.Tree.t ->
@@ -180,9 +189,9 @@ val insert :
     every store (the relational stores mirror the native store's fresh
     universal ids, so the three stay comparable) and partially
     re-annotates each.  The trigger treats the insertion points —
-    [at/<fragment-root>] — as the update expression.  Bumps the
-    {!epoch}; the CAM entries of the changed nodes and of the grafted
-    subtrees are rebuilt incrementally.
+    [at/<fragment-root>] — as the update expression.  The CAM entries
+    of the changed nodes and of the grafted subtrees are rebuilt
+    incrementally.
 
     Aliasing contract: the engine takes ownership of [fragment]
     {e without copying it} — the grafts deep-copy out of it, and the
@@ -208,42 +217,41 @@ val consistent_subjects : t -> bool
 
 val metrics : t -> Xmlac_util.Metrics.t
 (** Counters and stage timings of the request path: [cache.hits],
-    [cache.misses], [cam.lookups], [cam.touched], [cam.purged],
-    [cam.full_rebuilds], [fastlane.bypass]; stages [request],
-    [request.eval], [request.check], [cam.maintain]. *)
+    [cache.misses], [cache.evictions] (only the evictions a {!request}
+    forced: frozen reads share the snapshot's cache but are not
+    counted here), [cam.lookups], [cam.touched],
+    [cam.purged], [cam.full_rebuilds], [fastlane.bypass],
+    [lane.materialized], [lane.rewrite]; stages [request],
+    [request.eval], [request.check], [cam.maintain].  The snapshots
+    report into the same registry ([snapshot.*]). *)
 
 val cam : t -> Cam.t
-(** The engine's live CAM over the native store's signs. *)
+(** The engine's live CAM over the native store's signs; each
+    published snapshot freezes a copy of it. *)
 
 val role_cam : t -> string -> Cam.t
-(** The per-role CAM over the native store's bitmap slice for [role] —
-    built lazily on first use ([cam.role_builds]) and cached until the
-    bitmaps move ({!annotate_subjects}, {!update}, {!insert},
-    {!refresh}, {!recover}).
+(** The current snapshot's per-role CAM for [role]
+    ({!Snapshot.role_cam}).
     @raise Invalid_argument on an unknown role. *)
 
-val decision_cache : t -> Requester.decision Decision_cache.t
-(** The engine's bounded decision cache — exposed read-only in spirit
-    for observability ([length] / [capacity] / [evictions] /
-    [stale_drops]); its churn is mirrored into {!metrics} as
-    [cache.evictions] and [cache.stale_drops]. *)
-
-val epoch : t -> int
-(** Version counter of the materialized state; bumped by {!annotate},
-    {!update}, {!insert} and {!refresh}.  Cached decisions from older
-    epochs are never served. *)
+val decision_cache : t -> Snapshot.memo Decision_cache.t
+(** The current snapshot's decision cache, for observability
+    ([length] / [capacity] / [evictions]).  Evictions forced by
+    {!request} are mirrored into {!metrics} as [cache.evictions]. *)
 
 val cam_check : t -> bool
 (** The checked fallback: compares the incrementally maintained CAM
     against a fresh build.  Returns [true] when they agree; on
     disagreement repairs the engine by installing the fresh map
-    (counted as [cam.check_failures]) and returns [false]. *)
+    (counted as [cam.check_failures]), republishes the current epoch
+    as a snapshot that starts with an empty cache (outside an open
+    epoch), and returns [false]. *)
 
 val refresh : t -> unit
-(** Invalidate the fast lane wholesale: bump the epoch, clear the
-    decision cache and rebuild the CAM.  Call after mutating a
-    backend's signs behind the engine's back (e.g. driving
-    {!Annotator} directly on {!backend}). *)
+(** Declare the stores diverged and rebuild the CAM, then republish
+    the current epoch.  Call after mutating a backend's signs behind
+    the engine's back (e.g. driving {!Annotator} directly on
+    {!backend}). *)
 
 (** {1 Sign epochs and crash recovery} *)
 
@@ -271,8 +279,9 @@ val wal : t -> backend_kind -> Xmlac_reldb.Wal.t option
     the current snapshot and answer from it without ever blocking on
     (or being corrupted by) the writer's next epoch; unpinned old
     snapshots are reclaimed.  Publication happens only {e between}
-    epochs ([create], commit, {!recover}, {!refresh}), so a pinned
-    snapshot can never expose a partial epoch. *)
+    epochs ([create], commit, {!recover}, {!refresh}, a repairing
+    {!cam_check}), so a pinned snapshot can never expose a partial
+    epoch. *)
 
 val snapshots : t -> Snapshot.registry
 (** The engine's snapshot registry (stats, [Snapshot.pp_registry]). *)
@@ -318,11 +327,12 @@ val recover : t -> recovery
     writes back through the undo journals, and resolves the open epoch
     as described in the module preamble — backwards for {!annotate},
     forwards for {!update} / {!insert}.  Restores lockstep tracking,
-    bumps the request {!epoch}, clears the decision cache and rebuilds
-    the CAM, so the fast lane is coherent with the recovered signs.
-    Safe to call when nothing crashed (reports [`None]), and
-    {e idempotent}: a second call after a completed recovery is a pure
-    no-op — no epoch bump, no cache clear, no counter movement. *)
+    rebuilds the CAM and publishes the recovered epoch, so the fast
+    lane is coherent with the recovered signs.  Safe to call when
+    nothing crashed (reports [`None]; it still republishes if a
+    publish raised), and {e idempotent}: a second
+    call after a completed recovery is a pure no-op — no epoch bump,
+    no republish, no counter movement. *)
 
 (** {1 Replication}
 

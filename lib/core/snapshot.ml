@@ -3,17 +3,16 @@ module Metrics = Xmlac_util.Metrics
 module Fault = Xmlac_util.Fault
 module Iset = Set.Make (Int)
 
-(* A memoized decision remembers which node ids it examined — the
-   query's answers plus their ancestors (every id whose effective sign
-   a CAM lookup read).  Carry-forward into the next epoch's snapshot
-   is sound exactly when none of those ids was touched. *)
-type memo = { examined : int list; decision : Requester.decision }
+(* What a memoized decision read decides whether it may be carried
+   into the next epoch's snapshot (see the interface). *)
+type source = Frozen of int list | Live
+
+type memo = { source : source; decision : Requester.decision }
 
 type t = {
   epoch : int;
   doc : Tree.t;  (* frozen COW view (or a deep copy from [capture_full]) *)
   gen : int;  (* the generation the view froze; -1 for deep copies *)
-  stats : Tree.freeze_stats option;  (* change-set accounting; COW only *)
   cam : Cam.t;  (* frozen single-subject map *)
   annotated : bool;  (* signs had a committed annotation epoch at capture *)
   bits_annotated : bool;  (* ... and likewise the role bitmaps *)
@@ -24,9 +23,9 @@ type t = {
          snapshot when the epoch touched no bitmap); guarded by
          [lock]. *)
   cache : memo Decision_cache.t;
-      (* Private memo table.  The epoch is fixed for the snapshot's
-         lifetime, so entries never go stale — the epoch tag only
-         guards against misuse.  Guarded by [lock]. *)
+      (* The one decision cache: frozen reads and live engine reads
+         both memoize here, under keys that keep them apart.  Guarded
+         by [lock]. *)
   metrics : Metrics.t;
   lock : Mutex.t;
       (* Guards [role_cams] and [cache]; the rest is frozen.  The pin
@@ -50,11 +49,10 @@ let with_lock lock f =
 
    - any entry dies on a structural epoch (insert/delete/value writes
      can move answer sets without touching previously examined ids);
-   - a materialized-lane entry additionally dies when the change set
-     intersects its examined ids (a sign or bitmap write there can
-     flip an effective sign the decision read);
-   - a rewrite-lane entry reads no annotation at all, so it survives
-     any non-structural epoch;
+   - a [Frozen] entry additionally dies when the change set intersects
+     its examined ids (a sign or bitmap write there can flip an
+     effective sign the decision read);
+   - a [Live] entry always dies;
    - the per-role maps survive iff the epoch touched neither structure
      nor any bitmap.
 
@@ -63,69 +61,38 @@ let with_lock lock f =
    the same (physically equal) policy — otherwise the tree-level
    change set does not describe the gap between the two snapshots and
    the new snapshot simply starts cold (correct, just slower). *)
-let carry_forward ~prev ~stats t =
+let carry_forward ~prev ~(stats : Tree.freeze_stats) t =
   let continuous =
     Tree.family prev.doc = Tree.family t.doc
-    && stats.Tree.frozen_gen = prev.gen + 1
+    && stats.frozen_gen = prev.gen + 1
     && prev.policy == t.policy
   in
-  if continuous then begin
-    let structural = stats.Tree.structural in
-    let changed = Iset.of_list stats.Tree.changed in
+  if continuous && not stats.structural then begin
+    let changed = Iset.of_list stats.changed in
     let untouched ids = not (List.exists (fun id -> Iset.mem id changed) ids) in
     let carried = ref 0 in
     with_lock prev.lock (fun () ->
-        if not structural then
-          Decision_cache.iter
-            (fun key ~epoch:_ (m : memo) ->
-              let keep =
-                if String.length key > 0 && key.[0] = 'R' then true
-                else untouched m.examined
-              in
-              if keep then begin
-                Decision_cache.add t.cache ~epoch:t.epoch key m;
+        Decision_cache.iter
+          (fun key m ->
+            match m.source with
+            | Frozen ids when untouched ids ->
+                Decision_cache.add t.cache key m;
                 incr carried
-              end)
-            prev.cache;
-        if (not structural) && not stats.Tree.bits_touched then
+            | Frozen _ | Live -> ())
+          prev.cache;
+        if not stats.bits_touched then
           Hashtbl.iter
             (fun role c -> Hashtbl.replace t.role_cams role c)
             prev.role_cams);
     if !carried > 0 then Metrics.add t.metrics "snapshot.cache.carried" !carried
   end
 
-let capture ?(annotated = true) ?(bits_annotated = true) ?prev ~epoch ~policy
-    ~cam ~metrics doc =
-  Metrics.incr metrics "snapshot.captures";
-  let view, stats = Tree.freeze doc in
-  let t =
-    {
-      epoch;
-      doc = view;
-      gen = stats.Tree.frozen_gen;
-      stats = Some stats;
-      cam = Cam.freeze cam;
-      annotated;
-      bits_annotated;
-      policy;
-      role_cams = Hashtbl.create 4;
-      cache = Decision_cache.create ();
-      metrics;
-      lock = Mutex.create ();
-      pins = 0;
-    }
-  in
-  (match prev with Some p -> carry_forward ~prev:p ~stats t | None -> ());
-  t
-
-let capture_full ?(annotated = true) ?(bits_annotated = true) ~epoch ~policy
-    ~cam ~metrics doc =
+let make ~annotated ~bits_annotated ~epoch ~policy ~cam ~metrics ~gen doc =
   Metrics.incr metrics "snapshot.captures";
   {
     epoch;
-    doc = Tree.copy doc;
-    gen = -1;
-    stats = None;
+    doc;
+    gen;
     cam = Cam.freeze cam;
     annotated;
     bits_annotated;
@@ -137,13 +104,29 @@ let capture_full ?(annotated = true) ?(bits_annotated = true) ~epoch ~policy
     pins = 0;
   }
 
+let capture ?(annotated = true) ?(bits_annotated = true) ?prev ~epoch ~policy
+    ~cam ~metrics doc =
+  let view, stats = Tree.freeze doc in
+  let t =
+    make ~annotated ~bits_annotated ~epoch ~policy ~cam ~metrics
+      ~gen:stats.Tree.frozen_gen view
+  in
+  Option.iter (fun p -> carry_forward ~prev:p ~stats t) prev;
+  t
+
+let capture_full ?(annotated = true) ?(bits_annotated = true) ~epoch ~policy
+    ~cam ~metrics doc =
+  make ~annotated ~bits_annotated ~epoch ~policy ~cam ~metrics ~gen:(-1)
+    (Tree.copy doc)
+
 let epoch t = t.epoch
 let document t = t.doc
 let cam t = t.cam
 let annotated t = t.annotated
 let bits_annotated t = t.bits_annotated
 let pins t = t.pins
-let cow t = t.stats <> None
+let cow t = t.gen >= 0
+let decision_cache t = t.cache
 let cached_decisions t = with_lock t.lock (fun () -> Decision_cache.length t.cache)
 
 let resolve_lane ?subject ?(lane = Rewrite.Auto) t =
@@ -162,33 +145,68 @@ let resolve_lane ?subject ?(lane = Rewrite.Auto) t =
    [Cam.build_role] crosses no checkpoints or fault points, so nothing
    can raise mid-build except allocation failure. *)
 let role_cam t role =
-  match Hashtbl.find_opt t.role_cams role with
-  | Some c -> c
-  | None ->
-      let idx =
-        match Subject.index (Policy.subjects t.policy) role with
-        | Some i -> i
-        | None -> invalid_arg ("Snapshot.request: unknown role " ^ role)
-      in
-      let c =
-        Cam.build_role t.doc ~role:idx
-          ~default:(Policy.resolved_ds t.policy role)
-      in
-      Hashtbl.replace t.role_cams role c;
-      Metrics.incr t.metrics "snapshot.role_cam_builds";
-      c
+  with_lock t.lock (fun () ->
+      match Hashtbl.find_opt t.role_cams role with
+      | Some c -> c
+      | None ->
+          let idx =
+            match Subject.index (Policy.subjects t.policy) role with
+            | Some i -> i
+            | None -> invalid_arg ("Snapshot.role_cam: unknown role " ^ role)
+          in
+          let c =
+            Cam.build_role t.doc ~role:idx
+              ~default:(Policy.resolved_ds t.policy role)
+          in
+          Hashtbl.replace t.role_cams role c;
+          Metrics.incr t.metrics "snapshot.role_cam_builds";
+          c)
+
+let accessible ?subject t ~absent =
+  let cam = match subject with None -> t.cam | Some role -> role_cam t role in
+  fun id ->
+    match Tree.find t.doc id with
+    | Some n -> Cam.lookup cam n = Tree.Plus
+    | None -> absent id
+
+(* Keys keep the lanes (answer-equivalent only while the materialized
+   layer is fresh), the subjects and the frozen/live reads apart. *)
+type key = string
+
+let key ?(store = "") ?subject lane query =
+  String.concat ""
+    [
+      (match lane with Rewrite.Rewrite -> "R/" | _ -> "M/");
+      store;
+      (match subject with None -> "" | Some _ -> "@");
+      Option.value subject ~default:"";
+      "\x00";
+      query;
+    ]
+
+(* The hit path: one lookup, no allocation beyond the answer. *)
+let cached t key =
+  Mutex.lock t.lock;
+  let m = Decision_cache.find t.cache key in
+  Mutex.unlock t.lock;
+  Option.map (fun m -> m.decision) m
+
+(* The miss path every read goes through, frozen or live: cross the
+   [snapshot.read] checkpoint, which lets the serve layer inject
+   transient faults into reads (retry tests, the chaos soak), then
+   compute the memo and remember it. *)
+let remember t key compute =
+  Fault.point "snapshot.read";
+  let m = compute () in
+  with_lock t.lock (fun () -> Decision_cache.add t.cache key m);
+  m.decision
 
 (* The materialized lane over the frozen state: evaluate on the frozen
    tree, check accessibility against the frozen (per-role) CAM.  Also
-   reports the ids the decision examined — the answers plus all their
+   records the ids the decision examined — the answers plus all their
    ancestors, i.e. every node whose annotation a [Cam.lookup] walk can
    have read — which is what makes the memo carriable. *)
 let materialized_decision ?subject t expr =
-  let cam =
-    match subject with
-    | None -> t.cam
-    | Some role -> with_lock t.lock (fun () -> role_cam t role)
-  in
   let answers = Xmlac_xpath.Eval.eval t.doc expr in
   let ids =
     List.map (fun (n : Tree.node) -> n.Tree.id) answers
@@ -202,13 +220,8 @@ let materialized_decision ?subject t expr =
       answers
     |> List.sort_uniq compare
   in
-  let d =
-    Requester.decide ~ids ~accessible:(fun id ->
-        match Tree.find t.doc id with
-        | Some n -> Cam.lookup cam n = Tree.Plus
-        | None -> false)
-  in
-  { examined; decision = d }
+  let accessible = accessible ?subject t ~absent:(fun _ -> false) in
+  { source = Frozen examined; decision = Requester.decide ~ids ~accessible }
 
 (* The rewrite lane over the frozen state: compile the request against
    the frozen policy and evaluate the granted/residue pair on the
@@ -226,163 +239,64 @@ let rewritten_decision ?subject t expr =
       Requester.decide ~ids:answer.Rewrite.granted_ids
         ~accessible:(fun _ -> true)
   in
-  { examined = []; decision = d }
+  { source = Frozen []; decision = d }
 
 let request ?subject ?lane t query =
   Metrics.incr t.metrics "snapshot.reads";
   let lane, _reason = resolve_lane ?subject ?lane t in
-  let lane_tag = match lane with Rewrite.Rewrite -> "R" | _ -> "M" in
-  let key =
-    match subject with
-    | None -> lane_tag ^ "\x00" ^ query
-    | Some role -> lane_tag ^ "@" ^ role ^ "\x00" ^ query
-  in
-  match
-    with_lock t.lock (fun () ->
-        Decision_cache.find t.cache ~epoch:t.epoch key)
-  with
-  | Some m ->
+  let key = key ?subject lane query in
+  match cached t key with
+  | Some d ->
       Metrics.incr t.metrics "snapshot.cache.hits";
-      m.decision
+      d
   | None ->
       Metrics.incr t.metrics "snapshot.cache.misses";
-      let expr = Requester.parse_or_fail query in
-      (* The frozen-read checkpoint: lets the serve layer inject
-         transient faults into the pinned read path (retry tests, the
-         chaos soak) without touching the live stores. *)
-      Fault.point "snapshot.read";
-      let m =
-        match lane with
-        | Rewrite.Rewrite -> rewritten_decision ?subject t expr
-        | _ -> materialized_decision ?subject t expr
-      in
-      with_lock t.lock (fun () ->
-          Decision_cache.add t.cache ~epoch:t.epoch key m);
-      m.decision
+      remember t key (fun () ->
+          let expr = Requester.parse_or_fail query in
+          match lane with
+          | Rewrite.Rewrite -> rewritten_decision ?subject t expr
+          | _ -> materialized_decision ?subject t expr)
 
 (* --- registry ------------------------------------------------------ *)
 
-(* Shared-chunk accounting.  Successive COW snapshots of one tree
-   family share node records; a record born in generation [born_gen]
-   and displaced (superseded or deleted) while generation [died_gen]
-   was being written is referenced exactly by the frozen views of
-   generations [born_gen, died_gen - 1].  [publish] records each
-   epoch's displaced records as such a segment; a reclaim triggers a
-   [gc] pass that releases every segment no live snapshot generation
-   falls inside.  The accounting is authoritative for observability
-   and the bench's memory assertions — the actual freeing is the OCaml
-   GC's, which collects a record exactly when the last view sharing it
-   is reclaimed, so a crash between the reclaim and the sweep can
-   never corrupt a pinned neighbor (it merely leaves advisory counts
-   behind, rebuilt at the next publish). *)
-type segment = { born_gen : int; died_gen : int; seg_count : int }
-
 type registry = {
-  mutable current_snap : t option;
+  current_snap : t option Atomic.t;
+      (* Written under [reg_lock]; read without it by [current], the
+         per-request path. *)
   mutable retired_snaps : t list;  (* pinned old snapshots, newest first *)
   mutable published_count : int;
   mutable reclaimed_count : int;
   mutable max_retired_count : int;
-  mutable seg_family : int option;  (* tree family the segments describe *)
-  mutable segments : segment list;
-  mutable shared_total : int;  (* lifetime records entering segments *)
-  mutable freed_total : int;  (* lifetime records released by gc *)
-  mutable gc_passes : int;
   reg_metrics : Metrics.t;
   reg_lock : Mutex.t;
 }
 
 let create_registry ~metrics () =
   {
-    current_snap = None;
+    current_snap = Atomic.make None;
     retired_snaps = [];
     published_count = 0;
     reclaimed_count = 0;
     max_retired_count = 0;
-    seg_family = None;
-    segments = [];
-    shared_total = 0;
-    freed_total = 0;
-    gc_passes = 0;
     reg_metrics = metrics;
     reg_lock = Mutex.create ();
   }
-
-(* Must run under [reg_lock]. *)
-let record_segments_locked reg snap =
-  match snap.stats with
-  | None -> ()
-  | Some (st : Tree.freeze_stats) ->
-      let fam = Tree.family snap.doc in
-      if reg.seg_family <> Some fam then begin
-        (* A different document family shares nothing with the old
-           segments; they can never be referenced again. *)
-        reg.segments <- [];
-        reg.seg_family <- Some fam
-      end;
-      List.iter
-        (fun (born, count) ->
-          if count > 0 then begin
-            reg.segments <-
-              { born_gen = born; died_gen = st.Tree.frozen_gen;
-                seg_count = count }
-              :: reg.segments;
-            reg.shared_total <- reg.shared_total + count
-          end)
-        st.Tree.displaced
-
-(* Release segments no live snapshot generation needs.  Crossed on
-   every reclaim-triggered pass — freed or not — so the crash sweeps
-   deterministically cover the [snapshot.gc] point. *)
-let gc reg =
-  let freed =
-    with_lock reg.reg_lock (fun () ->
-        let live =
-          (match reg.current_snap with Some s -> [ s ] | None -> [])
-          @ reg.retired_snaps
-        in
-        let live_gens =
-          List.filter_map
-            (fun s ->
-              if s.stats <> None && reg.seg_family = Some (Tree.family s.doc)
-              then Some s.gen
-              else None)
-            live
-        in
-        let needed seg =
-          List.exists
-            (fun g -> seg.born_gen <= g && g < seg.died_gen)
-            live_gens
-        in
-        let keep, drop = List.partition needed reg.segments in
-        reg.segments <- keep;
-        reg.gc_passes <- reg.gc_passes + 1;
-        let n = List.fold_left (fun a s -> a + s.seg_count) 0 drop in
-        reg.freed_total <- reg.freed_total + n;
-        n)
-  in
-  if freed > 0 then Metrics.add reg.reg_metrics "snapshot.chunks_freed" freed;
-  Fault.point "snapshot.gc"
 
 let publish reg snap =
   (* Crash here = the epoch committed but its snapshot never became
      current; [Engine.recover]'s idempotent path republishes. *)
   Fault.point "snapshot.publish";
-  (* Crash between here and the swap leaves at most advisory sharing
-     counts behind — never a dangling shared record. *)
-  Fault.point "snapshot.share";
   let freed =
     with_lock reg.reg_lock (fun () ->
         let freed =
-          match reg.current_snap with
+          match Atomic.get reg.current_snap with
           | None -> 0
           | Some old when old.pins = 0 -> 1  (* reclaimed on the spot *)
           | Some old ->
               reg.retired_snaps <- old :: reg.retired_snaps;
               0
         in
-        record_segments_locked reg snap;
-        reg.current_snap <- Some snap;
+        Atomic.set reg.current_snap (Some snap);
         reg.published_count <- reg.published_count + 1;
         reg.reclaimed_count <- reg.reclaimed_count + freed;
         let lag = List.length reg.retired_snaps in
@@ -392,20 +306,16 @@ let publish reg snap =
   Metrics.incr reg.reg_metrics "snapshot.publishes";
   if freed > 0 then begin
     Metrics.add reg.reg_metrics "snapshot.reclaims" freed;
-    Fault.point "snapshot.reclaim";
-    gc reg
+    Fault.point "snapshot.reclaim"
   end
 
-let current reg = with_lock reg.reg_lock (fun () -> reg.current_snap)
-
-let current_epoch reg =
-  with_lock reg.reg_lock (fun () ->
-      Option.map (fun s -> s.epoch) reg.current_snap)
+let current reg = Atomic.get reg.current_snap
+let current_epoch reg = Option.map (fun s -> s.epoch) (current reg)
 
 let pin reg =
   let snap =
     with_lock reg.reg_lock (fun () ->
-        match reg.current_snap with
+        match Atomic.get reg.current_snap with
         | None -> invalid_arg "Snapshot.pin: nothing published yet"
         | Some s ->
             s.pins <- s.pins + 1;
@@ -420,7 +330,9 @@ let unpin reg snap =
         if snap.pins <= 0 then invalid_arg "Snapshot.unpin: not pinned";
         snap.pins <- snap.pins - 1;
         let is_current =
-          match reg.current_snap with Some c -> c == snap | None -> false
+          match Atomic.get reg.current_snap with
+          | Some c -> c == snap
+          | None -> false
         in
         if snap.pins = 0 && not is_current then begin
           reg.retired_snaps <-
@@ -433,13 +345,12 @@ let unpin reg snap =
   Metrics.incr reg.reg_metrics "snapshot.unpins";
   if freed then begin
     Metrics.incr reg.reg_metrics "snapshot.reclaims";
-    Fault.point "snapshot.reclaim";
-    gc reg
+    Fault.point "snapshot.reclaim"
   end
 
 let live reg =
   with_lock reg.reg_lock (fun () ->
-      (match reg.current_snap with Some _ -> 1 | None -> 0)
+      (match Atomic.get reg.current_snap with Some _ -> 1 | None -> 0)
       + List.length reg.retired_snaps)
 
 let retired reg =
@@ -451,19 +362,12 @@ let reclaimed reg = with_lock reg.reg_lock (fun () -> reg.reclaimed_count)
 let max_retired reg =
   with_lock reg.reg_lock (fun () -> reg.max_retired_count)
 
-let shared_records reg =
-  with_lock reg.reg_lock (fun () ->
-      List.fold_left (fun a s -> a + s.seg_count) 0 reg.segments)
-
-let shared_total reg = with_lock reg.reg_lock (fun () -> reg.shared_total)
-let freed_total reg = with_lock reg.reg_lock (fun () -> reg.freed_total)
-let gc_passes reg = with_lock reg.reg_lock (fun () -> reg.gc_passes)
-
 let pp_registry ppf reg =
   let cur, cur_pins, ret, pub, rec_, lag =
     with_lock reg.reg_lock (fun () ->
-        ( Option.map (fun s -> s.epoch) reg.current_snap,
-          (match reg.current_snap with Some s -> s.pins | None -> 0),
+        let cur = Atomic.get reg.current_snap in
+        ( Option.map (fun s -> s.epoch) cur,
+          (match cur with Some s -> s.pins | None -> 0),
           List.length reg.retired_snaps,
           reg.published_count,
           reg.reclaimed_count,
@@ -476,22 +380,3 @@ let pp_registry ppf reg =
     cur_pins
     (if cur_pins = 1 then "" else "s")
     ret pub rec_ lag
-
-let pp_sharing ppf reg =
-  let segs, held, shared, freed, passes =
-    with_lock reg.reg_lock (fun () ->
-        ( List.length reg.segments,
-          List.fold_left (fun a s -> a + s.seg_count) 0 reg.segments,
-          reg.shared_total,
-          reg.freed_total,
-          reg.gc_passes ))
-  in
-  Format.fprintf ppf
-    "sharing: %d segment%s holding %d displaced record%s, %d shared lifetime, \
-     %d freed, %d gc pass%s"
-    segs
-    (if segs = 1 then "" else "s")
-    held
-    (if held = 1 then "" else "s")
-    shared freed passes
-    (if passes = 1 then "" else "es")

@@ -5,9 +5,10 @@
     blocks the read path.  This module breaks that coupling: every
     committed [sign_epoch] becomes an {e immutable versioned snapshot}
     — a frozen copy-on-write view of the document, a frozen {!Cam}
-    over its signs, lazily built per-role maps over its bitmaps, and a
-    private decision cache, all keyed by the epoch that committed
-    them.  Readers {e pin} a snapshot (refcounted) and answer requests
+    over its signs, lazily built per-role maps over its bitmaps, and
+    the decision cache every request is memoized in, all keyed by the
+    epoch that committed them.  Readers {e pin} a snapshot
+    (refcounted) and answer requests
     from it for as long as they like while the engine builds the next
     epoch against its own working set; a snapshot is {e reclaimed}
     (its references dropped, so the GC frees its private records) only
@@ -24,13 +25,21 @@
     set provably cannot have moved them.  Publish cost is therefore
     O(nodes changed in the epoch), not O(document), and a thousand
     pinned epochs of a large document cost little more than one copy
-    plus the sum of their change sets.  The registry accounts the
-    sharing at {e segment} granularity (records displaced per epoch,
-    grouped by birth generation): a reclaim triggers a gc pass that
-    retires every segment no live snapshot generation needs.  The
-    accounting is advisory — the OCaml GC performs the actual freeing
-    exactly when the last sharing view is dropped — so a crash in the
-    publish or gc path can never corrupt a pinned neighbor.
+    plus the sum of their change sets.  Freeing is the OCaml GC's: a
+    shared record is collected exactly when the last view holding it
+    is reclaimed, so a crash in the publish or reclaim path can never
+    corrupt a pinned neighbor.
+
+    {2 The one read path}
+
+    Every request is answered through a snapshot's decision cache.
+    {!request} evaluates on the frozen document; {!Engine.request}
+    evaluates on the live stores but checks accessibility against the
+    current snapshot's frozen maps ({!accessible}) and memoizes there
+    too ({!cached}, {!remember}), under keys that carry the
+    store.  A memo computed against a live store is never carried
+    forward: the native tree's change set does not describe the
+    relational stores.
 
     The MVCC invariants (DESIGN.md §10):
 
@@ -55,11 +64,10 @@
     mutable members (the per-role map table and the decision cache)
     are guarded by a private mutex.  Registry operations cross the
     fault points [snapshot.publish] (before the new snapshot is
-    installed), [snapshot.share] (before the epoch's shared-segment
-    accounting is recorded), [snapshot.reclaim] (after an old snapshot
-    is dropped) and [snapshot.gc] (after each reclaim-triggered
-    segment sweep), so the crash sweeps can kill the writer at every
-    sharing boundary and verify pinned readers never notice. *)
+    installed) and [snapshot.reclaim] (after an old snapshot is
+    dropped), so the crash sweeps can kill the writer at both
+    boundaries and verify pinned readers never notice; every cache
+    miss crosses [snapshot.read]. *)
 
 type t
 (** One immutable snapshot of a committed epoch. *)
@@ -141,6 +149,60 @@ val cow : t -> bool
 val cached_decisions : t -> int
 (** Memoized decisions currently held (carried entries included). *)
 
+(** What a memoized decision read, which decides whether it may be
+    carried into the next epoch's snapshot. *)
+type source =
+  | Frozen of int list
+      (** The frozen document: the answers plus their ancestors, every
+          id a CAM lookup can have read ([[]] for the rewrite lane).
+          Carried exactly when the epoch touched none of them and
+          changed no structure. *)
+  | Live
+      (** A live store.  The native tree's change set does not describe
+          a relational epoch or an {!Engine.refresh}, so such a memo is
+          never carried. *)
+
+type memo = { source : source; decision : Requester.decision }
+(** A memoized decision plus what it read. *)
+
+val decision_cache : t -> memo Decision_cache.t
+(** The snapshot's decision cache, for observability ([length] /
+    [capacity] / [evictions]).  Frozen and live reads share its
+    {!Decision_cache.default_capacity} entries.  Mutate it only
+    through {!request} and {!remember}. *)
+
+val role_cam : t -> string -> Cam.t
+(** The per-role map over the frozen bitmap slice for [role], built
+    lazily on first use ([snapshot.role_cam_builds]) and carried into
+    the next snapshot when its epoch touches no bitmap.
+    @raise Invalid_argument on an unknown role. *)
+
+val accessible : ?subject:string -> t -> absent:(int -> bool) -> int -> bool
+(** [accessible ?subject t ~absent] is the snapshot's accessibility
+    check: an id's effective sign under the frozen CAM (or the role's
+    map), and [absent id] for an id the frozen document does not
+    hold.
+    @raise Invalid_argument on an unknown role. *)
+
+type key
+(** A decision-cache key. *)
+
+val key : ?store:string -> ?subject:string -> Rewrite.lane -> string -> key
+(** [key ?store ?subject lane query] keys a read of [query] through
+    [lane], as [subject], apart from every other lane and subject.  A
+    live read names its [store]; the snapshot's own frozen reads
+    ({!request}) name none, which keeps them apart from every live
+    read. *)
+
+val cached : t -> key -> Requester.decision option
+(** The decision memoized under [key], if any. *)
+
+val remember : t -> key -> (unit -> memo) -> Requester.decision
+(** [remember t key compute] is the miss path of every read, frozen or
+    live: it crosses the [snapshot.read] fault point, runs [compute]
+    and memoizes its result under [key].  Whether the memo is carried
+    into the next snapshot follows its {!source}. *)
+
 val resolve_lane :
   ?subject:string -> ?lane:Rewrite.lane -> t -> Rewrite.lane * string
 (** The lane {!request} would answer through, with the reason
@@ -153,11 +215,12 @@ val request :
     from the snapshot alone: evaluate [query] on the frozen document,
     check accessibility against the frozen CAM ([?subject]: a lazily
     built per-role map over the frozen bitmaps), and memoize the
-    decision in the snapshot's private cache (keyed by the effective
-    lane).  Full fidelity at the snapshot's epoch — byte-identical to
-    what the live engine decided when this epoch was current — and
-    never touches the live stores, so it cannot block on (or be
-    blocked by) the writer.  Crosses
+    decision in the snapshot's cache (keyed by the effective lane;
+    the engine's live reads use keys of their own).  Full fidelity at
+    the snapshot's epoch — byte-identical to what the live engine
+    decided when this epoch was current — and never touches the live
+    stores, so it cannot block on (or be blocked by) the writer.
+    Crosses
     {!Xmlac_util.Deadline.checkpoint}s through [Cam.lookup], so it
     honours a caller-installed budget.
 
@@ -174,8 +237,7 @@ val request :
 
     The engine owns one registry; it holds the {e current} snapshot
     (the latest committed epoch) plus any {e retired} ones still kept
-    alive by pins, and the shared-segment accounting for the COW
-    snapshots of the current tree family. *)
+    alive by pins. *)
 
 type registry
 
@@ -186,10 +248,8 @@ val create_registry : metrics:Xmlac_util.Metrics.t -> unit -> registry
 val publish : registry -> t -> unit
 (** Install [t] as the current snapshot.  The previous current is
     reclaimed immediately when unpinned, and retired (kept for its
-    readers) otherwise.  Records the epoch's displaced records as
-    shared segments.  Crosses [snapshot.publish] then
-    [snapshot.share] before the swap, and [snapshot.reclaim] plus a
-    [snapshot.gc] sweep after a reclaim, all outside the registry
+    readers) otherwise.  Crosses [snapshot.publish] before the swap
+    and [snapshot.reclaim] after a reclaim, both outside the registry
     lock. *)
 
 val current : registry -> t option
@@ -204,8 +264,8 @@ val pin : registry -> t
 val unpin : registry -> t -> unit
 (** Release one pin.  A retired snapshot whose pin count reaches zero
     is reclaimed on the spot (the invariant: reclaim only at refcount
-    0, and only of non-current snapshots), followed by a
-    [snapshot.gc] segment sweep.
+    0, and only of non-current snapshots), crossing
+    [snapshot.reclaim].
     @raise Invalid_argument when [t] is not pinned. *)
 
 (** {1 Observability}
@@ -229,24 +289,6 @@ val max_retired : registry -> int
 (** High-water mark of the retired list — the reclaim lag: how far
     readers have trailed the writer at worst. *)
 
-val shared_records : registry -> int
-(** Displaced records currently held by live segments — the COW
-    overhead beyond one document: what pinned history costs over and
-    above the current tree. *)
-
-val shared_total : registry -> int
-(** Lifetime records recorded into segments at publish. *)
-
-val freed_total : registry -> int
-(** Lifetime records released by gc sweeps. *)
-
-val gc_passes : registry -> int
-(** Reclaim-triggered segment sweeps run. *)
-
 val pp_registry : Format.formatter -> registry -> unit
 (** Deterministic one-line summary (no addresses, no times) — safe
     for golden CLI transcripts. *)
-
-val pp_sharing : Format.formatter -> registry -> unit
-(** Deterministic one-line summary of the segment accounting (live
-    segments, records held, lifetime shared/freed, gc passes). *)

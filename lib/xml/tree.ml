@@ -34,14 +34,10 @@ type node = {
 }
 
 (* Per-generation write accounting, reset at every freeze: the ids
-   touched (the epoch's change set), records born, records displaced
-   per birth generation (the chunk-refcount feed of the snapshot
-   registry), and the coarse change-kind flags downstream carry
-   decisions key on. *)
+   touched (the epoch's change set) and the coarse change-kind flags
+   downstream carry decisions key on. *)
 type delta = {
   mutable changed : unit Imap.t;
-  mutable born : int;
-  mutable displaced : int Imap.t;
   mutable structural : bool;
   mutable bits_touched : bool;
 }
@@ -49,8 +45,6 @@ type delta = {
 type freeze_stats = {
   frozen_gen : int;
   changed : int list;
-  born : int;
-  displaced : (int * int) list;
   structural : bool;
   bits_touched : bool;
 }
@@ -75,8 +69,6 @@ let new_family () =
 let empty_delta () =
   {
     changed = Imap.empty;
-    born = 0;
-    displaced = Imap.empty;
     structural = false;
     bits_touched = false;
   }
@@ -95,7 +87,6 @@ let fresh_node t ~name ~value ~parent =
   in
   t.index <- Imap.add id n t.index;
   t.node_count <- t.node_count + 1;
-  t.delta.born <- t.delta.born + 1;
   touch t id;
   n
 
@@ -129,9 +120,6 @@ let resolve name t (n : node) =
   | Some c -> c
   | None -> invalid_arg name
 
-let bump_displaced (d : delta) g = d.displaced <- Imap.update g
-    (function None -> Some 1 | Some c -> Some (c + 1)) d.displaced
-
 (* Path-copy: make the node's current record private to the current
    generation.  The parent chain is privatized first (resolved by id —
    a shared record's parent pointer can itself be displaced), then the
@@ -149,7 +137,6 @@ let rec privatize t (n : node) =
           | None -> assert false)
     in
     let fresh = { n with gen = t.gen; parent = parent' } in
-    bump_displaced t.delta n.gen;
     (match parent' with
     | Some p ->
         p.children <-
@@ -205,8 +192,6 @@ let delete t node =
         (fun n ->
           t.index <- Imap.remove n.id t.index;
           t.node_count <- t.node_count - 1;
-          if n.gen = t.gen then t.delta.born <- t.delta.born - 1
-          else bump_displaced t.delta n.gen;
           touch t n.id)
         node;
       t.delta.structural <- true;
@@ -338,8 +323,6 @@ let freeze t =
     {
       frozen_gen = t.gen;
       changed = List.rev (Imap.fold (fun id () acc -> id :: acc) d.changed []);
-      born = max 0 d.born;
-      displaced = Imap.bindings d.displaced;
       structural = d.structural;
       bits_touched = d.bits_touched;
     }

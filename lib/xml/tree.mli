@@ -155,11 +155,6 @@ type freeze_stats = {
   changed : int list;
       (** Ids written during the frozen generation (ascending): the
           epoch's change set.  Includes ids born and ids deleted. *)
-  born : int;  (** Records created during the generation. *)
-  displaced : (int * int) list;
-      (** [(birth_gen, count)]: records superseded or deleted during
-          the generation, grouped by the generation that created them —
-          the snapshot registry's shared-chunk accounting feed. *)
   structural : bool;
       (** Whether the generation inserted/deleted nodes or changed a
           value (anything that can move query answer sets). *)

@@ -317,7 +317,7 @@ let test_fault_point_coverage () =
       "native.delete"; "row.delete"; "column.delete";
       "native.insert"; "row.insert"; "column.insert"; "cam.repair";
       "rewrite.compile";
-      "snapshot.publish"; "snapshot.share"; "snapshot.reclaim"; "snapshot.gc";
+      "snapshot.publish"; "snapshot.reclaim";
       "repl.ship"; "repl.recv"; "repl.apply"; "repl.ack";
     ];
   Fault.reset ()
@@ -349,7 +349,7 @@ let test_rewrite_compile_kill_isolated () =
   let layer = Serve.create eng in
   let observe () =
     ( Engine.sign_epoch eng,
-      Engine.epoch eng,
+      Snapshot.published (Engine.snapshots eng),
       Engine.open_epoch eng,
       accessible_sets eng,
       List.map
@@ -406,7 +406,7 @@ let test_open_epoch_guard () =
   Fault.reset ()
 
 (* Recovery is idempotent: once a crash has been resolved, a second
-   recover is a pure no-op — no epoch bump, no cache clear, no counter
+   recover is a pure no-op — no epoch bump, no republish, no counter
    movement.  (The serving layer leans on this: its self-healing path
    may race a caller that already recovered.) *)
 let test_recover_idempotent () =
@@ -423,7 +423,7 @@ let test_recover_idempotent () =
   let m = Engine.metrics eng in
   let observe () =
     ( Engine.sign_epoch eng,
-      Engine.epoch eng,
+      Snapshot.published (Engine.snapshots eng),
       Metrics.counter m "recovery.runs",
       Metrics.counter m "recovery.wal_dropped",
       accessible_sets eng )

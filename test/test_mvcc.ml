@@ -187,7 +187,7 @@ let test_crash_sweep_pinned_readers () =
   List.iter
     (fun p ->
       Alcotest.(check bool) ("sweep covers " ^ p) true (List.mem p points))
-    [ "snapshot.publish"; "snapshot.share"; "snapshot.reclaim"; "snapshot.gc" ];
+    [ "snapshot.publish"; "snapshot.reclaim" ];
   List.iter
     (fun point ->
       Fault.reset ();
@@ -217,15 +217,12 @@ let test_crash_sweep_pinned_readers () =
   Fault.reset ()
 
 (* ------------------------------------------------------------------ *)
-(* Structural sharing: published snapshots are COW views, memoized
-   decisions carry across a non-structural epoch, and the registry's
-   segment accounting drains to zero once no live generation needs the
-   displaced records. *)
+(* Structural sharing: published snapshots are COW views and memoized
+   decisions carry across a non-structural epoch. *)
 
 let test_cow_sharing_and_carry () =
   Fault.reset ();
   let eng = annotated_engine () in
-  let reg = Engine.snapshots eng in
   let s0 = Engine.pin_snapshot eng in
   Alcotest.(check bool) "published snapshots share structure" true
     (Snapshot.cow s0);
@@ -245,32 +242,50 @@ let test_cow_sharing_and_carry () =
   Alcotest.(check string) "carried decision is the epoch's own answer" d0
     (Format.asprintf "%a" Requester.pp
        (Snapshot.request ~lane:Rewrite.Rewrite s1 "//nurse"));
-  (* A structural epoch displaces shared records; the registry holds
-     them as segments while pinned generations still need them. *)
-  ignore (Engine.update eng probe_update);
-  Alcotest.(check bool) "displaced records recorded at publish" true
-    (Snapshot.shared_total reg > 0);
-  Alcotest.(check bool) "pinned history keeps segments live" true
-    (Snapshot.shared_records reg > 0);
   Engine.unpin_snapshot eng s0;
-  Engine.unpin_snapshot eng s1;
-  Alcotest.(check bool) "reclaim triggered gc sweeps" true
-    (Snapshot.gc_passes reg >= 1);
-  Alcotest.(check int) "no live generation needs the old segments" 0
-    (Snapshot.shared_records reg);
-  Alcotest.(check int) "every shared record accounted freed"
-    (Snapshot.shared_total reg) (Snapshot.freed_total reg);
-  Alcotest.(check bool) "sharing summary renders" true
-    (String.length (Format.asprintf "%a" Snapshot.pp_sharing reg) > 0)
+  Engine.unpin_snapshot eng s1
+
+(* A CAM that drifted from the signs while the tree recorded no change
+   since — a sign written behind the engine's back, then frozen by an
+   epoch that never touched the native store — poisons the frozen
+   reads of that epoch's snapshot.  [cam_check]'s repair republishes,
+   and must not carry those memos into the new snapshot. *)
+let test_cam_check_republishes_cold () =
+  Fault.reset ();
+  let eng = annotated_engine () in
+  let doc = Engine.document eng in
+  let q = "//patient/name" in
+  let target =
+    match Helpers.ids doc q with
+    | id :: _ -> Option.get (Tree.find doc id)
+    | [] -> Alcotest.fail "fixture has no patient names"
+  in
+  let flipped =
+    match Cam.lookup (Engine.cam eng) target with
+    | Tree.Plus -> Tree.Minus
+    | Tree.Minus -> Tree.Plus
+  in
+  Tree.set_sign doc target (Some flipped);
+  ignore (Engine.annotate eng Engine.Row_sql);
+  let direct = Engine.request_direct eng Engine.Native q in
+  Alcotest.(check bool) "the drifted snapshot answers wrongly" true
+    (Snapshot.request (Engine.current_snapshot eng) q <> direct);
+  Alcotest.(check bool) "cam_check notices the drift" false
+    (Engine.cam_check eng);
+  let snap = Engine.current_snapshot eng in
+  Alcotest.(check int) "republished with an empty cache" 0
+    (Snapshot.cached_decisions snap);
+  Alcotest.(check bool) "frozen read matches the signs" true
+    (Snapshot.request snap q = direct)
 
 (* ------------------------------------------------------------------ *)
 (* A killed COW publish must never corrupt a pinned neighbor.  The
-   writer dies inside the sharing machinery — publish, segment
-   recording, reclaim, gc sweep — while a reader pins an older view
-   that shares records with both the corpse and the survivor.  The
-   neighbor is checked two ways: its decision transcript (memoized)
-   and a fresh structural walk over every node's effective sign, which
-   re-reads the shared records and would expose any torn write. *)
+   writer dies inside the sharing machinery — publish or reclaim —
+   while a reader pins an older view that shares records with both the
+   corpse and the survivor.  The neighbor is checked two ways: its
+   decision transcript (memoized) and a fresh structural walk over
+   every node's effective sign, which re-reads the shared records and
+   would expose any torn write. *)
 
 let view_signature snap =
   let doc = Snapshot.document snap in
@@ -289,8 +304,8 @@ let test_cow_kill_never_corrupts_pinned_neighbor () =
       Fault.reset ();
       let eng = annotated_engine () in
       (* Pin epoch N, then commit N+1 unpinned, so the next publish
-         reclaims N+1 on the spot — the reclaim is what pulls the gc
-         sweep into the victim update's path. *)
+         reclaims N+1 on the spot — which puts [snapshot.reclaim] on
+         the victim update's path. *)
       let neighbor = Engine.pin_snapshot eng in
       let before = transcript neighbor in
       let before_sig = view_signature neighbor in
@@ -318,7 +333,7 @@ let test_cow_kill_never_corrupts_pinned_neighbor () =
         (Printf.sprintf "neighbor records intact after recovery from %s" point)
         before_sig (view_signature neighbor);
       Engine.unpin_snapshot eng neighbor)
-    [ "snapshot.publish"; "snapshot.share"; "snapshot.reclaim"; "snapshot.gc" ]
+    [ "snapshot.publish"; "snapshot.reclaim" ]
 
 (* ------------------------------------------------------------------ *)
 (* The qcheck property: random documents, policies and updates —
@@ -670,8 +685,8 @@ let () =
         ] );
       ( "sharing",
         [
-          tc "cow capture, carry-forward, segment gc"
-            test_cow_sharing_and_carry;
+          tc "cow capture, carry-forward" test_cow_sharing_and_carry;
+          tc "cam_check republishes cold" test_cam_check_republishes_cold;
           tc "killed publish never corrupts a pinned neighbor"
             test_cow_kill_never_corrupts_pinned_neighbor;
         ] );

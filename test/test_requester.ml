@@ -8,6 +8,7 @@ open Xmlac_core
 module Tree = Xmlac_xml.Tree
 module Prng = Xmlac_util.Prng
 module Metrics = Xmlac_util.Metrics
+module Fault = Xmlac_util.Fault
 module W = Xmlac_workload
 
 let parse = Helpers.parse
@@ -61,34 +62,30 @@ let test_metrics_hit_rate () =
 (* ------------------------------------------------------------------ *)
 (* Decision cache *)
 
-let test_cache_hit_and_epoch () =
+let test_cache_hit_and_miss () =
   let c = Decision_cache.create ~capacity:8 () in
-  Decision_cache.add c ~epoch:0 "q" 1;
-  Alcotest.(check (option int)) "same epoch hits" (Some 1)
-    (Decision_cache.find c ~epoch:0 "q");
-  Alcotest.(check (option int)) "bumped epoch misses" None
-    (Decision_cache.find c ~epoch:1 "q");
-  Alcotest.(check int) "stale entry dropped on sight" 0
-    (Decision_cache.length c);
-  Decision_cache.add c ~epoch:1 "q" 2;
-  Alcotest.(check (option int)) "new epoch value" (Some 2)
-    (Decision_cache.find c ~epoch:1 "q")
+  Decision_cache.add c "q" 1;
+  Alcotest.(check (option int)) "stored key hits" (Some 1)
+    (Decision_cache.find c "q");
+  Alcotest.(check (option int)) "unknown key misses" None
+    (Decision_cache.find c "r")
 
 let test_cache_bounded () =
   let c = Decision_cache.create ~capacity:2 () in
-  Decision_cache.add c ~epoch:0 "a" 1;
-  Decision_cache.add c ~epoch:0 "b" 2;
-  Decision_cache.add c ~epoch:0 "c" 3;
+  Decision_cache.add c "a" 1;
+  Decision_cache.add c "b" 2;
+  Decision_cache.add c "c" 3;
   Alcotest.(check int) "capacity respected" 2 (Decision_cache.length c);
+  Alcotest.(check int) "one eviction" 1 (Decision_cache.evictions c);
   Alcotest.(check (option int)) "oldest evicted" None
-    (Decision_cache.find c ~epoch:0 "a");
+    (Decision_cache.find c "a");
   Alcotest.(check (option int)) "newest kept" (Some 3)
-    (Decision_cache.find c ~epoch:0 "c");
+    (Decision_cache.find c "c");
   (* Overwriting an existing key must not grow the table. *)
-  Decision_cache.add c ~epoch:0 "c" 4;
+  Decision_cache.add c "c" 4;
   Alcotest.(check int) "overwrite in place" 2 (Decision_cache.length c);
   Alcotest.(check (option int)) "overwritten" (Some 4)
-    (Decision_cache.find c ~epoch:0 "c")
+    (Decision_cache.find c "c")
 
 let test_cache_rejects_zero_capacity () =
   try
@@ -289,9 +286,9 @@ let test_engine_cache_hits_and_epoch () =
   Alcotest.(check bool) "same decision" true (d1 = d2);
   Alcotest.(check int) "one miss" 1 (Metrics.counter m "cache.misses");
   Alcotest.(check int) "one hit" 1 (Metrics.counter m "cache.hits");
-  let e0 = Engine.epoch eng in
+  let e0 = Engine.sign_epoch eng in
   let _ = Engine.update eng "//patient/treatment" in
-  Alcotest.(check bool) "epoch bumped" true (Engine.epoch eng > e0);
+  Alcotest.(check bool) "epoch bumped" true (Engine.sign_epoch eng > e0);
   let d3 = Engine.request eng Engine.Native "//patient/name" in
   Alcotest.(check int) "update forces recompute" 2
     (Metrics.counter m "cache.misses");
@@ -322,14 +319,44 @@ let test_engine_divergent_backend_bypasses () =
   let _ = Engine.annotate eng Engine.Native in
   let m = Engine.metrics eng in
   Metrics.reset m;
-  List.iter
-    (fun q ->
-      Alcotest.(check bool) ("row matches direct: " ^ q) true
-        (Engine.request ~lane:Rewrite.Materialized eng Engine.Row_sql q
-        = Engine.request_direct eng Engine.Row_sql q))
-    sample_queries;
+  let check_matches label kind =
+    List.iter
+      (fun q ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s on %s matches direct" label q
+             (Engine.backend_kind_to_string kind))
+          true
+          (Engine.request ~lane:Rewrite.Materialized eng kind q
+          = Engine.request_direct eng kind q))
+      sample_queries
+  in
+  check_matches "native only" Engine.Row_sql;
   Alcotest.(check bool) "bypass counted" true
-    (Metrics.counter m "fastlane.bypass" > 0)
+    (Metrics.counter m "fastlane.bypass" > 0);
+  (* An epoch that annotates only a relational store leaves the native
+     tree untouched, so the snapshot it publishes must not inherit the
+     previous epoch's row-store decisions. *)
+  let _ = Engine.annotate eng Engine.Row_sql in
+  check_matches "row annotated" Engine.Row_sql;
+  (* A native sign corrupted behind the engine's back: [cam_check]
+     repairs the map, and the requests that follow must see it. *)
+  let doc = Engine.document eng in
+  let target =
+    match Helpers.ids doc "//patient/name" with
+    | id :: _ -> Option.get (Tree.find doc id)
+    | [] -> Alcotest.fail "fixture has no patient names"
+  in
+  check_matches "before corruption" Engine.Native;
+  let flipped =
+    match Cam.lookup (Engine.cam eng) target with
+    | Tree.Plus -> Tree.Minus
+    | Tree.Minus -> Tree.Plus
+  in
+  Tree.set_sign doc target (Some flipped);
+  Alcotest.(check bool) "cam_check notices the corruption" false
+    (Engine.cam_check eng);
+  check_matches "after cam_check" Engine.Native;
+  check_matches "after cam_check" Engine.Row_sql
 
 let test_engine_request_parse_error () =
   let eng = hospital_engine () in
@@ -349,6 +376,38 @@ let test_engine_refresh_after_external_mutation () =
     ~default:(Policy.ds (Engine.policy eng));
   Engine.refresh eng;
   check_fast_lane_matches eng "after refresh"
+
+let test_engine_failed_publish_not_served () =
+  (* The publish that follows a commit, a refresh or a cam_check
+     repair raises: the current snapshot then lags the engine, and
+     its memos and frozen CAM must not answer the next live request. *)
+  Fault.reset ();
+  let eng = hospital_engine () in
+  let fail_publish label f =
+    check_fast_lane_matches eng ("warm before " ^ label);
+    Fault.arm_transient "snapshot.publish" (Fault.After 1);
+    (match f () with
+    | () -> Alcotest.failf "%s: armed publish did not fire" label
+    | exception Fault.Transient _ -> ());
+    check_fast_lane_matches eng ("after failed publish in " ^ label)
+  in
+  fail_publish "update" (fun () ->
+      ignore (Engine.update eng "//patient/treatment"));
+  Alcotest.(check (option int)) "caught up to the committed epoch"
+    (Some (Engine.sign_epoch eng))
+    (Snapshot.current_epoch (Engine.snapshots eng));
+  fail_publish "refresh" (fun () ->
+      (Engine.backend eng Engine.Native).Backend.reset_signs
+        ~default:(Policy.ds (Engine.policy eng));
+      Engine.refresh eng);
+  fail_publish "cam_check" (fun () ->
+      let doc = Engine.document eng in
+      List.iter
+        (fun id ->
+          Tree.set_sign doc (Option.get (Tree.find doc id)) (Some Tree.Plus))
+        (Helpers.ids doc "//patient");
+      ignore (Engine.cam_check eng));
+  Fault.reset ()
 
 (* ------------------------------------------------------------------ *)
 (* The acceptance property: CAM/cache-served decisions are identical
@@ -416,7 +475,7 @@ let () =
         ] );
       ( "decision cache",
         [
-          tc "hit and epoch invalidation" test_cache_hit_and_epoch;
+          tc "hit and miss" test_cache_hit_and_miss;
           tc "bounded" test_cache_bounded;
           tc "rejects zero capacity" test_cache_rejects_zero_capacity;
         ] );
@@ -443,6 +502,7 @@ let () =
           tc "parse error via engine" test_engine_request_parse_error;
           tc "refresh after external mutation"
             test_engine_refresh_after_external_mutation;
+          tc "failed publish not served" test_engine_failed_publish_not_served;
           QCheck_alcotest.to_alcotest fast_lane_equivalence_prop;
         ] );
     ]

@@ -73,3 +73,6 @@ show serve auction.policy --dtd xmark --doc site.xml \
 # verification, and commits one write through the new leader.
 show replicate auction.policy --dtd xmark --doc site.xml \
   --churn 3 --fault-rate 0.2 --seed 7 --kill
+# Bad input fails with a message and exit status 1: an unknown --dtd
+# name is read as a DTD file path, and a missing one is reported.
+show explain auction.policy --dtd nosuch --doc site.xml
