@@ -84,10 +84,15 @@ soak-replication:
 doc:
 	dune build @doc
 
+# Library size in lines: the figure ROADMAP's "refactor done" rule
+# compares across changes.
+loc:
+	@cat $$(git ls-files 'lib/*.ml' 'lib/*.mli') | wc -l
+
 quickstart:
 	dune exec examples/quickstart.exe
 
 clean:
 	dune clean
 
-.PHONY: all test ci soak bench bench-full bench-multirole bench-concurrent bench-rewrite bench-snapshot bench-replication soak-replication doc quickstart clean
+.PHONY: all test ci soak bench bench-full bench-multirole bench-concurrent bench-rewrite bench-snapshot bench-replication soak-replication doc loc quickstart clean

@@ -239,6 +239,14 @@ let current_snapshot t =
   | Some s -> s
   | None -> assert false (* published at creation, never emptied *)
 
+(* The one rule for which snapshot a read may answer from: the current
+   one, once a publish that raised has been finished.  Live requests
+   call it directly; degraded and replica reads reach it through
+   [Serve]'s read gate, which fails closed when it raises. *)
+let read_snapshot t =
+  catch_up t;
+  current_snapshot t
+
 let decision_cache t = Snapshot.decision_cache (current_snapshot t)
 let pin_snapshot t = Snapshot.pin t.snapshots
 let unpin_snapshot t snap = Snapshot.unpin t.snapshots snap
@@ -535,8 +543,7 @@ let request ?subject ?lane t kind query =
       in
       (* Outside an open epoch ([begin_op] catches up first), so
          this never freezes partial state. *)
-      catch_up t;
-      let snap = current_snapshot t in
+      let snap = read_snapshot t in
       let key =
         Snapshot.key ~store:(backend_kind_to_string kind) ?subject lane query
       in

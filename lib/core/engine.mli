@@ -119,7 +119,7 @@ val request :
   backend_kind ->
   string ->
   Requester.decision
-(** All-or-nothing query answering, through the current snapshot: the
+(** All-or-nothing query answering, through {!read_snapshot}: the
     decision is served from (or memoized in) the snapshot's decision
     cache, whose key carries the store, the effective lane and the
     subject.  On a miss the request is evaluated on the live store —
@@ -290,6 +290,15 @@ val current_snapshot : t -> Snapshot.t
 (** The snapshot of the last committed epoch.  Always exists —
     {!create} publishes epoch 0.  Unpinned: a reader that wants to
     hold it across commits must {!pin_snapshot} instead. *)
+
+val read_snapshot : t -> Snapshot.t
+(** The snapshot every read answers from: {!current_snapshot}, after
+    finishing (cold) a publish that raised, so it never trails
+    {!sign_epoch} or a same-epoch republish ({!refresh}, a repairing
+    {!cam_check}).  {!request} calls it; so does [Serve]'s fail-closed
+    read gate for degraded and replica reads.  Call it outside an open
+    epoch.  @raise Xmlac_util.Fault.Transient (or [Crash]) when the
+    catch-up publish fails again; the snapshot then still lags. *)
 
 val pin_snapshot : t -> Snapshot.t
 (** Pin and return the current snapshot; the caller owes exactly one

@@ -2,7 +2,6 @@ module Fault = Xmlac_util.Fault
 module Metrics = Xmlac_util.Metrics
 module Prng = Xmlac_util.Prng
 module Engine = Xmlac_core.Engine
-module Requester = Xmlac_core.Requester
 module Wal = Xmlac_reldb.Wal
 module Serve = Xmlac_serve.Serve
 
@@ -523,15 +522,6 @@ let sync ?(rounds = 64) t =
 
 (* ---------- reads ---------- *)
 
-let fail_closed t =
-  Metrics.incr t.metrics Metrics.repl_stale_denials;
-  Ok
-    {
-      Serve.decision = Requester.Denied { blocked = 0 };
-      served = Serve.Degraded;
-      attempts = 0;
-    }
-
 let dead_node_error id =
   {
     Serve.class_ = Serve.Fatal;
@@ -546,19 +536,19 @@ let serving t n =
   | Follower -> (not n.diverged) && lag t n.id <= t.config.lag_threshold
   | Deposed -> false
 
+(* Every node read passes the serving layer's read gate, admitted only
+   while the node is [serving]. *)
+let gated ?subject ?lane t n query =
+  Serve.gated_request ?subject ?lane ~admit:(serving t n) ~served:Serve.Pinned
+    ~denials:(t.metrics, Metrics.repl_stale_denials)
+    n.serve query
+
 let read ?subject ?lane t ~node:id query =
   let n = node t id in
   match n.role with
   | Deposed -> Error (dead_node_error id)
   | Leader when not t.leader_alive -> Error (dead_node_error id)
-  | Leader ->
-      Serve.snapshot_request ?subject ?lane n.serve
-        (Engine.current_snapshot n.eng) query
-  | Follower ->
-      if serving t n then
-        Serve.snapshot_request ?subject ?lane n.serve
-          (Engine.current_snapshot n.eng) query
-      else fail_closed t
+  | Leader | Follower -> gated ?subject ?lane t n query
 
 (* Lag-aware routing: the least-lagged serving follower wins; a live
    leader is the fallback; otherwise fail closed rather than guess. *)
@@ -577,7 +567,9 @@ let route ?subject ?lane t query =
   | None ->
       if t.leader_alive then
         (t.leader_id, read ?subject ?lane t ~node:t.leader_id query)
-      else (-1, fail_closed t)
+      else
+        (* Nothing serves: the dead leader's gate denies outright. *)
+        (-1, gated ?subject ?lane t (leader t) query)
 
 (* ---------- failover ---------- *)
 

@@ -26,8 +26,9 @@
     torn-frame draws and an explicit per-node partition switch.
     Followers detect gaps and request re-ship (bounded per node,
     jittered backoff, classified through the {!Xmlac_serve.Serve}
-    taxonomy); reads are served from the follower's last published
-    MVCC snapshot only while replication lag is at most
+    taxonomy); reads pass the serving layer's fail-closed read gate
+    ({!Xmlac_serve.Serve.gated_request}), which answers from the
+    node's caught-up snapshot only while replication lag is at most
     [lag_threshold] epochs — beyond that (or on divergence, or while
     killed mid-apply) the node fails closed with a blanket denial,
     counted under {!Xmlac_util.Metrics.repl_stale_denials}.  After
@@ -136,10 +137,15 @@ val read :
   node:int ->
   string ->
   (Serve.reply, Serve.error) result
-(** Answer [query] from the node's last published MVCC snapshot under
-    the node's serving layer (deadline, retries, taxonomy).  A
-    follower over the lag threshold, divergent, or killed mid-apply
-    fails closed: blanket denial served [Degraded], counted under
+(** Answer [query] through the node's serving layer's read gate
+    ({!Xmlac_serve.Serve.gated_request}; deadline, retries, taxonomy),
+    leader and follower alike.  The gate reads the node's
+    {!Xmlac_core.Engine.read_snapshot} — the snapshot of the epoch the
+    node committed, caught up if its publish raised — never just the
+    apply cursor, and answers served [Pinned].  A follower over the lag
+    threshold or divergent, and any node with an epoch open or a crash
+    pending recovery (killed mid-apply), fails closed: blanket denial
+    served [Degraded], counted under
     {!Xmlac_util.Metrics.repl_stale_denials}.  A dead or deposed node
     returns a [Fatal] error. *)
 

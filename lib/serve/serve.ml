@@ -70,15 +70,6 @@ type t = {
   breakers : (Engine.backend_kind * Breaker.t) list;
   rng : Prng.t;
   mutable queue : mutation list;  (* oldest first; bounded, tiny *)
-  (* The layer's pinned MVCC snapshot — the engine's versioned view of
-     the last epoch this layer saw commit.  While a breaker is open,
-     requests are answered deny-by-default from it.  It is only
-     trusted while its epoch still equals the engine's committed epoch
-     — mutations re-pin on commit and nothing commits while degraded,
-     so a mismatch can only mean the engine was mutated behind the
-     layer's back; then we deny everything (and count it under
-     [Metrics.stale_snapshot_denials]). *)
-  mutable snapshot : Snapshot.t;
 }
 
 let create ?(config = default_config) eng =
@@ -99,7 +90,6 @@ let create ?(config = default_config) eng =
     breakers;
     rng = Prng.create ~seed:config.seed;
     queue = [];
-    snapshot = Engine.pin_snapshot eng;
   }
 
 let engine t = t.eng
@@ -107,20 +97,7 @@ let config t = t.config
 let breaker t kind = List.assoc kind t.breakers
 let metrics t = Engine.metrics t.eng
 let queued t = List.length t.queue
-let snapshot t = t.snapshot
-
-let refresh_snapshot t =
-  let old = t.snapshot in
-  t.snapshot <- Engine.pin_snapshot t.eng;
-  (* The unpin may cross the [snapshot.reclaim] fault point.  The
-     registry mutates before the point raises, so the reclaim itself
-     is already consistent — and the layer's view is already re-pinned
-     above.  Contain the fault here: a transient is pure bookkeeping
-     noise, and a crash is picked up by [heal] on the next call. *)
-  match Engine.unpin_snapshot t.eng old with
-  | () -> ()
-  | exception (Fault.Transient _ | Fault.Crash _) ->
-      Metrics.incr (metrics t) "serve.reclaim_faults"
+let refresh_snapshot t = ignore (Engine.read_snapshot t.eng)
 
 (* ---------- error classification ---------- *)
 
@@ -141,11 +118,9 @@ let classify = function
   | Invalid_argument msg -> (Fatal, "invalid-argument", msg)
   | exn -> (Fatal, "exception", Printexc.to_string exn)
 
-let typed_error ?(attempts = 0) exn =
+let error_of_exn ?(attempts = 0) exn =
   let class_, site, message = classify exn in
   { class_; site; attempts; message }
-
-let error_of_exn = typed_error
 
 (* ---------- self-healing ---------- *)
 
@@ -170,8 +145,7 @@ let heal t =
   if Engine.open_epoch t.eng <> None || Fault.killed () || wal_dangling t
   then begin
     Metrics.incr (metrics t) "serve.auto_recoveries";
-    let r = Engine.recover t.eng in
-    if r.Engine.recovered_epoch <> None then refresh_snapshot t
+    ignore (Engine.recover t.eng)
   end
 
 (* ---------- requests ---------- *)
@@ -191,32 +165,11 @@ let backoff t n =
   in
   t.config.sleep (Prng.float t.rng (max cap 0.0))
 
-(* Deny-by-default answer from the layer's pinned snapshot.  Sound
-   because the snapshot is a frozen committed materialization and
-   mutations never commit while degraded; if the epochs disagree
-   anyway the snapshot is stale and everything is denied — per role as
-   much as for the anonymous subject. *)
-let degraded_decision ?subject ?lane t query =
-  let m = metrics t in
-  Metrics.incr m "serve.degraded";
-  (match subject with
-  | Some role -> Metrics.incr m ("serve.degraded." ^ role)
-  | None -> ());
-  let snap = t.snapshot in
-  if Snapshot.epoch snap <> Engine.sign_epoch t.eng then begin
-    Metrics.incr m "serve.degraded_stale";
-    Metrics.incr m Metrics.stale_snapshot_denials;
-    Requester.Denied { blocked = 0 }
-  end
-  else Snapshot.request ?subject ?lane snap query
-
-(* Answer from an arbitrary pinned snapshot under the configured
-   deadline, with transient retries — the session read path.  Never
-   consults the engine, the live stores or the breakers: a pinned read
-   cannot block on the writer, and its outcome says nothing about
-   backend health.  [~served] distinguishes the session path (Pinned)
-   from degradation ([degraded_request] below reuses this loop). *)
-let snapshot_request_as ~served ?subject ?lane t snap query =
+(* [query] answered from [snap] under the deadline, with transient
+   retries — the loop every non-live read shares.  Never consults the
+   live stores or the breakers: a snapshot read cannot block on the
+   writer, and its outcome says nothing about backend health. *)
+let snapshot_answer ~served ?subject ?lane t snap query =
   let m = metrics t in
   let attempts = ref 0 in
   match
@@ -225,10 +178,7 @@ let snapshot_request_as ~served ?subject ?lane t snap query =
       (fun () ->
         let rec go n =
           attempts := n;
-          try
-            match served with
-            | Degraded -> degraded_decision ?subject ?lane t query
-            | _ -> Snapshot.request ?subject ?lane snap query
+          try Snapshot.request ?subject ?lane snap query
           with Fault.Transient _ when n <= t.config.max_retries ->
             Metrics.incr m "serve.retries";
             backoff t n;
@@ -238,17 +188,48 @@ let snapshot_request_as ~served ?subject ?lane t snap query =
   with
   | decision -> Ok { decision; served; attempts = !attempts }
   | exception exn ->
-      let err = typed_error ~attempts:!attempts exn in
+      let err = error_of_exn ~attempts:!attempts exn in
       Metrics.incr m "serve.errors";
       Metrics.incr m ("serve.errors." ^ error_class_to_string err.class_);
       Error err
 
 let snapshot_request ?subject ?lane t snap query =
   Metrics.incr (metrics t) "serve.pinned";
-  snapshot_request_as ~served:Pinned ?subject ?lane t snap query
+  snapshot_answer ~served:Pinned ?subject ?lane t snap query
+
+(* The fail-closed read gate.  The engine's read snapshot answers only
+   while it can be trusted to be the committed materialization: no
+   epoch open, no crash pending recovery, its catch-up publish
+   succeeded, and the caller's own condition ([admit]) holds.
+   Otherwise every query is denied — a gated read can only deny more
+   than the committed state would, never grant more. *)
+let gated_request ?subject ?lane ~admit ~served ~denials t query =
+  let snap =
+    if (not admit) || Engine.open_epoch t.eng <> None || Fault.killed () then
+      None
+    else
+      match Engine.read_snapshot t.eng with
+      | snap -> Some snap
+      | exception (Fault.Transient _ | Fault.Crash _) -> None
+  in
+  match snap with
+  | Some snap -> snapshot_answer ~served ?subject ?lane t snap query
+  | None ->
+      let m, counter = denials in
+      Metrics.incr m counter;
+      Ok
+        {
+          decision = Requester.Denied { blocked = 0 };
+          served = Degraded;
+          attempts = 0;
+        }
 
 let degraded_request ?subject ?lane t query =
-  snapshot_request_as ~served:Degraded ?subject ?lane t t.snapshot query
+  let m = metrics t in
+  Metrics.incr m "serve.degraded";
+  Option.iter (fun role -> Metrics.incr m ("serve.degraded." ^ role)) subject;
+  gated_request ?subject ?lane ~admit:true ~served:Degraded
+    ~denials:(m, Metrics.stale_snapshot_denials) t query
 
 let live_request ?subject ?lane t kind br query =
   let m = metrics t in
@@ -272,7 +253,7 @@ let live_request ?subject ?lane t kind br query =
       Breaker.record br ~ok:true;
       Ok { decision; served = Live; attempts = !attempts }
   | exception exn ->
-      let err = typed_error ~attempts:!attempts exn in
+      let err = error_of_exn ~attempts:!attempts exn in
       (* A failure while compiling the rewrite lane's plans happens
          before the store is touched, so — like a parse error — it
          says nothing about backend health and must not feed the
@@ -379,10 +360,9 @@ let run_mutation t mu =
     with
     | stats ->
         record_all t ~ok:true;
-        refresh_snapshot t;
         Ok (Applied stats)
     | exception exn -> (
-        let err = typed_error ~attempts:n exn in
+        let err = error_of_exn ~attempts:n exn in
         if Engine.open_epoch t.eng <> None || Fault.killed () then begin
           (* The fault interrupted the epoch: play the restart.
              Structural operations recover by roll-forward — the
@@ -391,7 +371,6 @@ let run_mutation t mu =
              already has nothing to recover; the same report fits. *)
           Metrics.incr m "serve.auto_recoveries";
           let r = Engine.recover t.eng in
-          refresh_snapshot t;
           if
             r.Engine.direction = `Forward
             || Engine.sign_epoch t.eng > committed0
@@ -415,11 +394,10 @@ let run_mutation t mu =
         end
         else if Engine.sign_epoch t.eng > committed0 then begin
           (* Transient fault past the commit point: the epoch is
-             durable, only the snapshot publish was interrupted.
-             Re-pinning repairs the layer's view; retrying would apply
-             the mutation twice. *)
+             durable, only the snapshot publish was interrupted — the
+             next read catches it up.  Retrying would apply the
+             mutation twice. *)
           Metrics.incr m "serve.recovered_mutations";
-          refresh_snapshot t;
           record_failure t err.site;
           Ok Recovered
         end
@@ -482,7 +460,7 @@ let health (t : t) =
         t.breakers;
     open_epoch = Engine.open_epoch t.eng;
     queued_mutations = List.length t.queue;
-    snapshot_epoch = Snapshot.epoch t.snapshot;
+    snapshot_epoch = Snapshot.epoch (Engine.current_snapshot t.eng);
     committed_epoch = Engine.sign_epoch t.eng;
     degraded = List.exists (fun (_, s) -> s <> Breaker.Closed) states;
     stale_snapshot_denials =

@@ -14,20 +14,26 @@
        are retried with jittered exponential backoff, bounded by
        [max_retries];}
     {- {e circuit breaking + fail-closed degradation}: each backend
-       owns a {!Breaker}; while one is open its requests are answered
-       {e deny-by-default} from the layer's pinned
-       {!Xmlac_core.Snapshot} of the committed materialization, and
-       mutations queue (bounded) or are rejected.  A degraded answer
-       can only {e deny} more than the healthy path would — never
-       grant more (the fail-closed invariant the soak tests replay
-       under seeded fault schedules).}}
+       owns a {!Breaker}; while one is open its requests go through
+       the {e read gate} ({!gated_request}), which answers from the
+       engine's {!Xmlac_core.Engine.read_snapshot} — the committed
+       materialization, caught up — and denies everything when that
+       snapshot cannot be trusted.  Mutations queue (bounded) or are
+       rejected.  A degraded answer can only {e deny} more than the
+       healthy path would — never grant more (the fail-closed
+       invariant the soak tests replay under seeded fault
+       schedules).}}
 
-    Since the MVCC refactor the layer is also the concurrent front
-    end's toolbox: {!snapshot_request} answers from {e any} pinned
-    snapshot — the {!Session} read path — under the same deadline and
-    retry machinery, without ever touching the live stores or the
-    breakers, so worker domains running pinned reads can never block
-    on (or be corrupted by) the writer's next epoch.
+    The layer keeps no snapshot of its own: degraded and replica
+    reads pass the one read gate, and live reads pick their snapshot
+    by the same engine rule.
+
+    The layer is also the concurrent front end's toolbox:
+    {!snapshot_request} answers from {e any} pinned snapshot — the
+    {!Session} read path — under the same deadline and retry
+    machinery, without ever touching the live stores or the breakers,
+    so worker domains running pinned reads can never block on (or be
+    corrupted by) the writer's next epoch.
 
     The layer also self-heals: if a fault killed the process mid-epoch
     (open epoch, poisoned fault registry), the next call through the
@@ -94,27 +100,23 @@ type t
 
 val create : ?config:config -> Engine.t -> t
 (** Wraps an engine: one breaker per backend (named after the
-    backend, metrics mirrored into the engine's registry), and pins
-    the engine's current MVCC snapshot as the degradation view. *)
+    backend, metrics mirrored into the engine's registry). *)
 
 val engine : t -> Engine.t
 val config : t -> config
 val breaker : t -> Engine.backend_kind -> Breaker.t
 
-val snapshot : t -> Xmlac_core.Snapshot.t
-(** The layer's pinned snapshot — the last committed epoch this layer
-    saw.  Re-pinned on every committed mutation, successful recovery
-    and {!refresh_snapshot}. *)
-
 (** {1 Requests} *)
 
 type served =
   | Live  (** Answered by the engine. *)
-  | Degraded  (** Answered deny-by-default from the pinned snapshot. *)
+  | Degraded
+      (** Answered by the read gate ({!gated_request}) while a breaker
+          is open, or blanket-denied by it. *)
   | Pinned
       (** Answered from a caller-pinned snapshot ({!snapshot_request})
-          — the session read path; full fidelity at that snapshot's
-          epoch. *)
+          — the session read path — or, for a replica read, admitted
+          by the read gate; full fidelity at that snapshot's epoch. *)
 
 type reply = {
   decision : Xmlac_core.Requester.decision;
@@ -135,10 +137,10 @@ val request :
     closed/half-open breaker admits the call: it runs under the
     configured deadline with transient retries, and its outcome feeds
     the breaker.  An open breaker rejects it and the reply is served
-    [Degraded] from the snapshot: the decision is the all-or-nothing
-    rule over the snapshot's CAM when the snapshot still matches the
-    committed epoch, and a blanket denial when it does not —
-    degradation never grants what the live path would deny.
+    [Degraded] through {!gated_request}: the all-or-nothing rule over
+    the engine's caught-up read snapshot, or a blanket denial when the
+    gate cannot trust it — degradation never grants what the live path
+    would deny.
 
     [~lane] (default [Auto]) selects the enforcement lane, live
     ({!Engine.request}) and degraded ({!Xmlac_core.Snapshot.request})
@@ -151,9 +153,26 @@ val request :
     [~subject] answers for one role: live calls go through
     {!Engine.request}'s subject path, degraded calls through a
     lazily built per-role CAM over the snapshot's bitmaps — the
-    fail-closed invariant holds per role (blanket denial on a stale
-    snapshot included).  Stale blanket denials are counted under
+    fail-closed invariant holds per role (the gate's blanket denial
+    included).  Degraded blanket denials are counted under
     {!Xmlac_util.Metrics.stale_snapshot_denials}. *)
+
+val gated_request :
+  ?subject:string ->
+  ?lane:Xmlac_core.Rewrite.lane ->
+  admit:bool ->
+  served:served ->
+  denials:Xmlac_util.Metrics.t * string ->
+  t ->
+  string ->
+  (reply, error) result
+(** The fail-closed read gate for every read that is not live: answer
+    from {!Xmlac_core.Engine.read_snapshot} (deadline, retries, served
+    as [served]) only when the caller's condition [admit] holds, no
+    epoch is open, no crash awaits recovery and the catch-up publish
+    succeeds; otherwise [Denied { blocked = 0 }] served [Degraded],
+    counted under [denials] (registry, counter name).  Never touches
+    the live stores or the breakers, and never recovers. *)
 
 val snapshot_request :
   ?subject:string ->
@@ -193,12 +212,11 @@ type mutation_outcome =
 val mutate : t -> mutation -> (mutation_outcome, error) result
 (** Applies the mutation through every store.  While any breaker is
     open the mutation is queued (or rejected once [queue_capacity] is
-    reached) — the degradation snapshot stays coherent with the
-    committed epoch precisely because nothing commits while degraded.
-    On the live path, transient faults that left no epoch open are
-    retried; faults that interrupted an epoch trigger automatic
-    recovery ([Recovered] when it rolled forward).  A successful
-    mutation refreshes the snapshot. *)
+    reached).  On the live path, transient faults that left no epoch
+    open are retried; faults that interrupted an epoch trigger
+    automatic recovery ([Recovered] when it rolled forward).  A
+    snapshot publish that failed after the commit is finished by the
+    next read ({!Xmlac_core.Engine.read_snapshot}). *)
 
 val update : t -> string -> (mutation_outcome, error) result
 val insert :
@@ -221,12 +239,14 @@ type health = {
   trips : int;  (** Lifetime trips across all breakers. *)
   open_epoch : int option;
   queued_mutations : int;
-  snapshot_epoch : int;  (** Committed epoch the pinned snapshot captures. *)
+  snapshot_epoch : int;
+      (** Epoch of the engine's current snapshot.  It trails
+          [committed_epoch] only while a publish that raised has not
+          been caught up; the read gate catches up before answering. *)
   committed_epoch : int;
   degraded : bool;  (** Some breaker is not closed. *)
   stale_snapshot_denials : int;
-      (** Lifetime degraded requests blanket-denied because the pinned
-          snapshot trailed the committed epoch
+      (** Lifetime degraded requests the read gate blanket-denied
           ({!Xmlac_util.Metrics.stale_snapshot_denials}). *)
   pinned_snapshots : int;
       (** Snapshots alive in the engine's registry (current +
@@ -241,6 +261,7 @@ val pp_health : Format.formatter -> health -> unit
 (** Deterministic, time-free — safe for golden CLI transcripts. *)
 
 val refresh_snapshot : t -> unit
-(** Re-pin the engine's current snapshot as the degradation view
-    (unpinning the previous one).  Call after mutating the engine
-    behind the layer's back. *)
+(** Finish a snapshot publish that raised
+    ({!Xmlac_core.Engine.read_snapshot}).  Never required: every read
+    catches up by itself.  @raise Xmlac_util.Fault.Transient when the
+    publish fails again. *)

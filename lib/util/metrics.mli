@@ -23,16 +23,17 @@ type t
 
 val stale_snapshot_denials : string
 (** The canonical counter name (["serve.stale_snapshot_denials"]) for
-    degraded requests answered with a blanket denial because the
-    pinned snapshot's epoch no longer matches the committed
-    [sign_epoch].  Incremented by [Serve], surfaced by
+    degraded requests the serving layer's read gate answered with a
+    blanket denial (epoch open, crash pending recovery, or a failed
+    catch-up publish).  Incremented by [Serve], surfaced by
     [xmlacctl explain --request] and [xmlacctl health]. *)
 
 val repl_stale_denials : string
-(** The canonical counter name (["repl.stale_denials"]) for follower
-    reads blanket-denied fail-closed because replication lag exceeded
-    the configured epoch threshold (or the follower was marked
-    divergent).  Incremented by [Xmlac_replicate], surfaced by
+(** The canonical counter name (["repl.stale_denials"]) for replica
+    reads the read gate blanket-denied: replication lag over the
+    configured epoch threshold, a divergent follower, an epoch open,
+    a crash pending recovery, or a failed catch-up publish.
+    Incremented by [Xmlac_replicate], surfaced by
     [xmlacctl replicate] / [health] / [explain --request]. *)
 
 val create : unit -> t

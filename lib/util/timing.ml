@@ -1,35 +1,15 @@
-(* [Sys.time] measures processor time, which for a single-threaded
-   CPU-bound caller coincides with wall time.  Concurrent callers
-   (the domain pool, the latency benches) must use [now_wall]:
-   processor time aggregates across domains and would overstate
-   per-request latency by the domain count. *)
-
-let now () = Sys.time ()
-let now_wall () = Unix.gettimeofday ()
+(* The kernel's monotonic clock in nanoseconds, through bechamel's
+   stub: elapsed wall time that never steps, read without a syscall on
+   the usual vDSO path.  Processor time ([Sys.time]) would aggregate
+   across OCaml domains and cost a syscall per read; [gettimeofday]
+   steps in microseconds. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 let time f =
   let t0 = now () in
   let x = f () in
   let t1 = now () in
   (x, t1 -. t0)
-
-let time_n ~n f =
-  assert (n >= 1);
-  let t0 = now () in
-  for _ = 1 to n do
-    ignore (Sys.opaque_identity (f ()))
-  done;
-  let t1 = now () in
-  (t1 -. t0) /. float_of_int n
-
-let repeat_until ~min_runs ~min_seconds f =
-  let t0 = now () in
-  let runs = ref 0 in
-  while !runs < min_runs || now () -. t0 < min_seconds do
-    ignore (Sys.opaque_identity (f ()));
-    incr runs
-  done;
-  (now () -. t0) /. float_of_int !runs
 
 let percentile samples ~p =
   if Array.length samples = 0 then invalid_arg "Timing.percentile: empty";

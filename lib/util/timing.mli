@@ -7,14 +7,10 @@
     so the clock source and its resolution are decided in one place. *)
 
 val now : unit -> float
-(** Processor time in seconds.  Equals wall time only while the
-    process is single-threaded and CPU-bound; concurrent measurements
-    must use {!now_wall}. *)
-
-val now_wall : unit -> float
-(** Wall-clock time in seconds ([Unix.gettimeofday]).  The clock
-    behind every concurrent latency figure: processor time aggregates
-    across OCaml domains and would overstate per-request latency. *)
+(** Monotonic clock time in seconds, read at nanosecond resolution
+    ([bechamel.monotonic_clock]).  Only differences are meaningful.
+    Elapsed wall time, so spans measured on concurrent OCaml domains
+    are not inflated by other domains' work. *)
 
 val percentile : float array -> p:float -> float
 (** [percentile samples ~p] is the nearest-rank [p]-th percentile
@@ -24,14 +20,6 @@ val percentile : float array -> p:float -> float
 val time : (unit -> 'a) -> 'a * float
 (** [time f] runs [f ()] and returns its result with the elapsed wall
     time in seconds. *)
-
-val time_n : n:int -> (unit -> 'a) -> float
-(** [time_n ~n f] runs [f] [n] times and returns the mean elapsed time
-    per run, in seconds. [n] must be >= 1. *)
-
-val repeat_until : min_runs:int -> min_seconds:float -> (unit -> 'a) -> float
-(** Runs [f] at least [min_runs] times and until [min_seconds] of total
-    runtime have elapsed, returning the mean time per run. *)
 
 val pp_seconds : Format.formatter -> float -> unit
 (** Human-friendly duration: ns/us/ms/s with 3 significant digits. *)

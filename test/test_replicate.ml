@@ -182,6 +182,38 @@ let check_twin_engines ctx leader follower qs =
 let sample_queries =
   [ "//patient"; "//patient/name"; "//treatment"; "//patient[treatment]" ]
 
+(* What a client sees: every [Repl.read] reply of follower [id] is
+   admitted by the read gate and equals the leader's decision, for both
+   forced lanes and every subject.  [Engine.request] catches up by
+   itself, so comparing only engines cannot see a follower serving a
+   trailing snapshot. *)
+let check_replica_reads t id leader qs =
+  let subjects =
+    None :: List.map Option.some (Policy.roles (Engine.policy leader))
+  in
+  List.iter
+    (fun q ->
+      List.iter
+        (fun lane ->
+          List.iter
+            (fun subject ->
+              match Repl.read ?subject ~lane t ~node:id q with
+              | Ok r ->
+                  if r.Serve.served <> Serve.Pinned then
+                    Alcotest.failf "follower %d: read of %s not served" id q;
+                  if
+                    r.Serve.decision
+                    <> Engine.request ?subject ~lane leader Engine.Native q
+                  then
+                    Alcotest.failf "follower %d: read of %s differs from leader"
+                      id q
+              | Error e ->
+                  Alcotest.failf "follower %d: read of %s: %s" id q
+                    e.Serve.message)
+            subjects)
+        [ Rewrite.Materialized; Rewrite.Rewrite ])
+    qs
+
 (* ------------------------------------------------------------------ *)
 (* The happy path: ship, apply, converge, serve. *)
 
@@ -328,6 +360,62 @@ let test_partition_fails_closed () =
     (granted (Repl.read t ~node:1 "//patient/name"))
 
 (* ------------------------------------------------------------------ *)
+(* The read gate reads the served snapshot, not the apply cursor.  A
+   publish that raises after an epoch committed leaves the node's
+   snapshot one epoch behind; a read must catch it up first. *)
+
+let q_099 = "//patient[psn = \"099\"]"
+
+let insert_099 t =
+  Repl.insert t ~at:q_099 ~fragment:(treatment_fragment ())
+
+let read_decision t id q =
+  match Repl.read t ~node:id q with
+  | Ok r -> r.Serve.decision
+  | Error e -> Alcotest.failf "read on node %d: %s" id e.Serve.message
+
+let test_follower_failed_publish () =
+  let t = mk_cluster ~followers:1 () in
+  ok "annotate" (Repl.annotate_all t);
+  ok "update" (Repl.update t "//patient/treatment");
+  Alcotest.(check bool) "baseline sync" true (Repl.sync t);
+  ok "insert" (insert_099 t);
+  Fault.arm_transient "snapshot.publish" (Fault.After 1);
+  Alcotest.(check bool) "sync through the failed publish" true (Repl.sync t);
+  let f = Repl.engine t 1 in
+  Alcotest.(check int) "follower lag 0" 0 (Repl.lag t 1);
+  Alcotest.(check bool) "follower snapshot trails its committed epoch" true
+    (Snapshot.current_epoch (Engine.snapshots f) <> Some (Engine.sign_epoch f));
+  let d = read_decision t 1 q_099 in
+  let own = Engine.request_direct f Engine.Native q_099 in
+  Alcotest.(check bool) "the follower's own stores deny" false
+    (Requester.is_granted own);
+  Alcotest.(check bool) "follower read = its own stores" true (d = own);
+  Alcotest.(check bool) "follower read = leader" true
+    (d = Engine.request (Repl.leader_engine t) Engine.Native q_099);
+  Fault.reset ()
+
+let test_leader_failed_publish () =
+  let t = mk_cluster ~followers:1 () in
+  ok "annotate" (Repl.annotate_all t);
+  ok "update" (Repl.update t "//patient/treatment");
+  Alcotest.(check bool) "leader grants before the insert" true
+    (granted (Repl.read t ~node:0 q_099));
+  Fault.arm_transient "snapshot.publish" (Fault.After 1);
+  ok "insert through a failed publish" (insert_099 t);
+  let ld = Repl.leader_engine t in
+  Alcotest.(check bool) "leader snapshot trails its committed epoch" true
+    (Snapshot.current_epoch (Engine.snapshots ld)
+    <> Some (Engine.sign_epoch ld));
+  let d = read_decision t 0 q_099 in
+  let committed = Engine.request_direct ld Engine.Native q_099 in
+  Alcotest.(check bool) "the committed epoch denies" false
+    (Requester.is_granted committed);
+  Alcotest.(check bool) "leader read answers from the committed epoch" true
+    (d = committed);
+  Fault.reset ()
+
+(* ------------------------------------------------------------------ *)
 (* Kill sweep: crash a follower at every fault point the apply path
    crosses; while killed mid-epoch it must not serve, and after the
    restart protocol it must land exactly on the leader's state —
@@ -340,6 +428,10 @@ let kill_offsets hits =
 
 let test_follower_kill_sweep () =
   Fault.reset ();
+  (* The lag gate admits any lag here, so a mid-epoch read can only be
+     refused for the kill itself, never masked by the follower lagging. *)
+  let config = { quiet_config with Repl.lag_threshold = max_int } in
+  let warm_q = "//patient/name" in
   (* Scout: learn every point one full replication round crosses. *)
   let scout = mk_cluster ~followers:1 () in
   churn scout;
@@ -362,7 +454,13 @@ let test_follower_kill_sweep () =
     (fun (pt, hits) ->
       List.iter
         (fun k ->
-          let t = mk_cluster ~followers:1 () in
+          let t = mk_cluster ~config ~followers:1 () in
+          (* Warm [warm_q] in the follower's epoch-0 snapshot: a kill in
+             the first applied epoch leaves that snapshot current, with
+             the memo a cache hit would serve without a fault point. *)
+          (match Repl.read t ~node:1 warm_q with
+          | Ok r when r.Serve.served = Serve.Pinned -> ()
+          | _ -> Alcotest.fail "warming read not served");
           churn t;
           Fault.arm pt (Fault.After k);
           (* Pump until the armed kill fires (or the sweep's round
@@ -378,13 +476,16 @@ let test_follower_kill_sweep () =
             let ctx = Printf.sprintf "kill at %s hit %d" pt k in
             (* Mid-kill: a follower with an epoch open must not answer. *)
             let f_eng = Repl.engine t 1 in
-            if Engine.open_epoch f_eng <> None then (
-              match Repl.read t ~node:1 "//patient" with
-              | Ok r ->
-                  Alcotest.(check bool)
-                    (ctx ^ ": mid-epoch read fails closed") true
-                    (r.Serve.served = Serve.Degraded)
-              | Error _ -> () (* fail-closed by error: also fine *));
+            if Engine.open_epoch f_eng <> None then
+              List.iter
+                (fun q ->
+                  match Repl.read t ~node:1 q with
+                  | Ok r ->
+                      Alcotest.(check bool)
+                        (ctx ^ ": mid-epoch read fails closed: " ^ q) true
+                        (r.Serve.served = Serve.Degraded)
+                  | Error _ -> () (* fail-closed by error: also fine *))
+                [ "//patient"; warm_q ];
             (* Restart protocol: converge and match the leader. *)
             Alcotest.(check bool) (ctx ^ ": heals and converges") true
               (Repl.sync ~rounds:200 t);
@@ -569,7 +670,8 @@ let equivalence_prop =
             check_twin_engines
               (Printf.sprintf "follower %d" id)
               ld (Repl.engine t id)
-              (sample_queries @ qs)
+              (sample_queries @ qs);
+            check_replica_reads t id ld (sample_queries @ qs)
           end)
         (Repl.nodes t);
       true)
@@ -600,6 +702,12 @@ let () =
             test_chaos_convergence;
           tc "partition fails closed, reconnect recovers"
             test_partition_fails_closed;
+        ] );
+      ( "read gate",
+        [
+          tc "follower at lag 0 reads its committed epoch"
+            test_follower_failed_publish;
+          tc "leader read after a failed publish" test_leader_failed_publish;
         ] );
       ( "kill sweeps",
         [ tc "follower killed at every apply-path point" test_follower_kill_sweep ] );

@@ -232,7 +232,7 @@ let test_serve_cold_rewrite () =
       Alcotest.(check bool) "live = oracle" true (r.Serve.decision = want);
       Alcotest.(check bool) "served live" true (r.Serve.served = Serve.Live)
   | Error e -> Alcotest.fail (Format.asprintf "%a" Serve.pp_error e));
-  match Serve.snapshot_request layer (Serve.snapshot layer) q with
+  match Serve.snapshot_request layer (Engine.current_snapshot eng) q with
   | Ok r ->
       Alcotest.(check bool) "pinned = oracle" true (r.Serve.decision = want)
   | Error e -> Alcotest.fail (Format.asprintf "%a" Serve.pp_error e)

@@ -230,11 +230,28 @@ let trip serve kind queries =
   Alcotest.(check bool) "breaker tripped" true
     (B.state (S.breaker serve kind) = B.Open)
 
+(* [tight_breaker] with a cooldown long enough that the breaker stays
+   open across every degraded request a test makes. *)
+let degraded_config =
+  {
+    S.default_config with
+    S.max_retries = 0;
+    breaker = { tight_breaker with B.cooldown = 100 };
+  }
+
+(* [q] answered while [kind]'s breaker is open: must be served
+   degraded, and its decision is returned. *)
+let degraded serve kind q =
+  match S.request serve kind q with
+  | Ok r ->
+      Alcotest.(check bool) (q ^ ": served degraded") true
+        (r.S.served = S.Degraded);
+      r.S.decision
+  | Error e -> Alcotest.failf "degraded request %s errored: %s" q e.S.message
+
 let test_degraded_fail_closed () =
   Fault.reset ();
-  let config =
-    { S.default_config with S.max_retries = 0; breaker = tight_breaker }
-  in
+  let config = degraded_config in
   let eng = annotated_engine () in
   let serve = S.create ~config eng in
   let q_granted = "//patient/name" and q_denied = "//patient/treatment" in
@@ -261,17 +278,76 @@ let test_degraded_fail_closed () =
   (match S.request serve Engine.Row_sql q_granted with
   | Ok r -> Alcotest.(check bool) "row still live" true (r.S.served = S.Live)
   | Error e -> Alcotest.failf "row request errored: %s" e.S.message);
-  (* mutate the engine behind the layer's back: the snapshot is now
-     stale and degradation denies everything — fail closed *)
+  (* mutate the engine behind the layer's back: the read gate answers
+     from the engine's caught-up snapshot, so degradation follows the
+     commit *)
   ignore (Engine.update eng "//patient/treatment");
-  (match S.request serve Engine.Native q_granted with
-  | Ok r ->
-      Alcotest.(check bool) "stale snapshot: blanket denial" false
-        (Requester.is_granted r.S.decision)
-  | Error e -> Alcotest.failf "stale degraded request errored: %s" e.S.message);
-  Alcotest.(check bool) "stale denials counted" true
-    (Metrics.counter (Engine.metrics eng) "serve.degraded_stale" >= 1);
+  List.iter
+    (fun q ->
+      let d = degraded serve Engine.Native q in
+      Alcotest.(check bool) ("after the update, degraded = live: " ^ q) true
+        (d = Engine.request eng Engine.Native q))
+    [ q_granted; q_denied ];
+  (* a commit whose publish fails, and a catch-up that fails again: the
+     snapshot trails the committed epoch and the gate denies
+     everything — fail closed *)
+  let denials () =
+    Metrics.counter (Engine.metrics eng) Metrics.stale_snapshot_denials
+  in
+  let denials0 = denials () in
+  Fault.arm_transient "snapshot.publish" (Fault.After 1);
+  (match Engine.update eng "//nurse" with
+  | _ -> Alcotest.fail "armed publish did not fire"
+  | exception Fault.Transient _ -> ());
+  Fault.arm_transient "snapshot.publish" (Fault.After 1);
+  Alcotest.(check bool) "failed catch-up: blanket denial" true
+    (degraded serve Engine.Native q_granted
+    = Requester.Denied { blocked = 0 });
+  Alcotest.(check int) "one stale denial counted" (denials0 + 1) (denials ());
+  (* the next read's catch-up succeeds: degraded = live again *)
+  let d = degraded serve Engine.Native q_granted in
+  let live = Engine.request eng Engine.Native q_granted in
+  Alcotest.(check bool) "live still grants" true (Requester.is_granted live);
+  Alcotest.(check bool) "caught up: degraded = live" true (d = live);
+  Alcotest.(check int) "no further denial" (denials0 + 1) (denials ());
   Fault.reset ()
+
+(* [refresh] and a repairing [cam_check] republish under the {e same}
+   sign epoch.  Degradation must answer from the republished snapshot:
+   an epoch-number check alone would keep trusting the earlier one and
+   grant what the stores now deny. *)
+let test_degraded_same_epoch_republish () =
+  let q = "//patient/name" in
+  let case label tamper =
+    Fault.reset ();
+    let eng = annotated_engine () in
+    let serve = S.create ~config:degraded_config eng in
+    trip serve Engine.Native [ "//nurse"; "//doctor" ];
+    Alcotest.(check bool) (label ^ ": degraded grants before") true
+      (Requester.is_granted (degraded serve Engine.Native q));
+    let epoch = Engine.sign_epoch eng in
+    tamper eng;
+    Alcotest.(check int) (label ^ ": same sign epoch") epoch
+      (Engine.sign_epoch eng);
+    let d = degraded serve Engine.Native q in
+    let live = Engine.request eng Engine.Native q in
+    Alcotest.(check bool) (label ^ ": live denies") false
+      (Requester.is_granted live);
+    Alcotest.(check bool) (label ^ ": degraded = live") true (d = live);
+    Fault.reset ()
+  in
+  case "refresh" (fun eng ->
+      List.iter
+        (fun k -> (Engine.backend eng k).Backend.reset_signs ~default:Tree.Minus)
+        Engine.all_backend_kinds;
+      Engine.refresh eng);
+  case "cam_check" (fun eng ->
+      let doc = Engine.document eng in
+      List.iter
+        (fun id ->
+          Tree.set_sign doc (Option.get (Tree.find doc id)) (Some Tree.Minus))
+        (Helpers.ids doc q);
+      Alcotest.(check bool) "cam_check repairs" false (Engine.cam_check eng))
 
 let test_degraded_recovers_liveness () =
   Fault.reset ();
@@ -584,6 +660,8 @@ let () =
       ( "degradation",
         [
           tc "fail-closed snapshot answers" test_degraded_fail_closed;
+          tc "same-epoch republish not overgranted"
+            test_degraded_same_epoch_republish;
           tc "breaker re-closes after faults stop"
             test_degraded_recovers_liveness;
         ] );
