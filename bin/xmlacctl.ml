@@ -773,7 +773,9 @@ let health_cmd =
   in
   let retries =
     Arg.(value & opt int 2
-         & info [ "retries" ] ~doc:"Transient retry budget per request.")
+         & info [ "retries" ]
+             ~doc:"Transient retry budget per request, and per leader \
+                   operation or frame apply in the replication probe.")
   in
   let followers =
     Arg.(value & opt int 0

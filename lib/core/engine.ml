@@ -22,22 +22,10 @@ let all_backend_kinds = [ Native; Row_sql; Column_sql ]
 
 type trigger_mode = Paper_mode | Overlap_mode
 
-(* The in-flight mutating operation of an open sign epoch — everything
-   recovery needs to finish (or abandon) it after a simulated crash. *)
-type op =
-  | Op_annotate of backend_kind
-  | Op_annotate_subjects of backend_kind
-  | Op_update of string
-  | Op_insert of { at : string; fragment : Tree.t }
-  | Op_noop
-      (** An epoch that consumes its number without touching any store:
-          what a replica applies when the leader's epoch aborted (its
-          crash recovery rolled back), so epoch counters stay aligned
-          without replaying a mutation that never took effect. *)
-
 (* The wire-visible description of one committed epoch — everything a
    replica needs to reproduce the leader's operation through its own
-   (deterministic) engine entry points. *)
+   (deterministic) engine entry points, and everything recovery needs
+   to finish (or abandon) an epoch a simulated crash left open. *)
 type shipped_op =
   | Ship_noop
   | Ship_annotate of backend_kind
@@ -47,7 +35,7 @@ type shipped_op =
 
 type open_op = {
   num : int;  (** The epoch number being attempted. *)
-  op : op;
+  op : shipped_op;
   saved_annotated : backend_kind list;
   saved_bits_annotated : backend_kind list;
   saved_divergent : bool;
@@ -400,7 +388,7 @@ let commit_op t o =
   publish_snapshot t
 
 let annotate t kind =
-  let o = begin_op t (Op_annotate kind) in
+  let o = begin_op t (Ship_annotate kind) in
   let stats = Annotator.annotate_with_plan (backend t kind) t.plan in
   if not (List.mem kind t.annotated) then t.annotated <- kind :: t.annotated;
   if List.length t.annotated = 3 then t.divergent <- false;
@@ -413,7 +401,7 @@ let annotate_all t =
   List.map (fun k -> (k, annotate t k)) all_backend_kinds
 
 let annotate_subjects t kind =
-  let o = begin_op t (Op_annotate_subjects kind) in
+  let o = begin_op t (Ship_annotate_subjects kind) in
   let stats =
     Metrics.time t.metrics "annotate.subjects" (fun () ->
         Annotator.annotate_subjects ~schema:t.sg (backend t kind) t.policy)
@@ -589,29 +577,6 @@ let request_direct ?subject t kind query =
   | None -> Requester.request b ~default:(Policy.ds t.policy) expr
   | Some role -> Requester.request_via ~sign:(role_sign t b (role_index t role)) b expr
 
-let update t query =
-  let expr = Xmlac_xpath.Parser.parse_exn query in
-  let o = begin_op t (Op_update query) in
-  let stats =
-    List.map
-      (fun k ->
-        let b = backend t k in
-        let prepared =
-          Reannotator.prepare ~schema:t.sg b t.depend ~touched:[ expr ]
-        in
-        o.prepared <- (k, prepared) :: o.prepared;
-        let deleted_roots = b.Backend.delete_update expr in
-        o.applied <- k :: o.applied;
-        (k, Reannotator.finish ~schema:t.sg b t.depend prepared ~deleted_roots))
-      all_backend_kinds
-  in
-  (match List.assoc_opt Native stats with
-  | Some s -> maintain_cam t ~changed:s.Reannotator.changed ~roots:[]
-  | None -> rebuild_cam t);
-  reannotate_bits t;
-  commit_op t o;
-  stats
-
 (* The insertion-point expressions the trigger treats as the update:
    the grafted roots and everything below them. *)
 let insert_touched ~at_expr ~frag_root =
@@ -624,113 +589,90 @@ let insert_touched ~at_expr ~frag_root =
   in
   [ root_path; subtree_path ]
 
-(* Insert updates: graft into the native store first, then mirror the
-   freshly created subtrees — same universal ids — into both relational
-   stores, repairing annotations in each through the generic cycle. *)
-let insert t ~at ~fragment =
-  let at_expr = Xmlac_xpath.Parser.parse_exn at in
-  let frag_root = (Tree.root fragment).Tree.name in
-  let touched = insert_touched ~at_expr ~frag_root in
-  let default_sign = Rule.effect_to_string (Policy.ds t.policy) in
-  let default_bits = Policy.default_bits t.policy in
-  (* The op record takes ownership of [fragment] as-is: every use —
-     the graft below and a crash-recovery roll-forward — only reads it
-     ([Tree.graft] deep-copies into the target), so the old defensive
-     [Tree.copy] bought nothing but an O(fragment) stall per insert.
-     The aliasing contract (engine.mli): the caller must not mutate
-     the fragment after handing it over. *)
-  let o = begin_op t (Op_insert { at; fragment }) in
-  let native_stats =
-    let prepared =
-      Reannotator.prepare ~schema:t.sg t.native t.depend ~touched
-    in
-    o.prepared <- (Native, prepared) :: o.prepared;
-    Fault.point "native.insert";
-    let roots = Xmlac_xmldb.Update.insert_nodes t.doc ~at:at_expr ~fragment in
-    o.new_roots <- roots;
-    o.applied <- Native :: o.applied;
-    Reannotator.finish ~schema:t.sg t.native t.depend prepared
-      ~deleted_roots:(List.length roots)
-  in
-  let rel kind b db =
-    let prepared = Reannotator.prepare ~schema:t.sg b t.depend ~touched in
-    o.prepared <- (kind, prepared) :: o.prepared;
-    Fault.point (fault_prefix kind ^ ".insert");
-    List.iter
-      (fun root ->
-        ignore
-          (Xmlac_shrex.Shred.insert_subtree t.mapping ~default_sign
-             ~default_bits db root))
-      o.new_roots;
-    o.applied <- kind :: o.applied;
-    ( kind,
-      Reannotator.finish ~schema:t.sg b t.depend prepared
-        ~deleted_roots:(List.length o.new_roots) )
-  in
-  let stats =
-    [ (Native, native_stats); rel Row_sql t.row t.row_db;
-      rel Column_sql t.column t.col_db ]
-  in
-  maintain_cam t ~changed:native_stats.Reannotator.changed
-    ~roots:(List.map (fun (n : Tree.node) -> n.Tree.id) o.new_roots);
-  reannotate_bits t;
-  commit_op t o;
-  stats
-
-(* --- recovery ------------------------------------------------------ *)
-
-(* Resume a structural operation: for each backend, take the stashed
-   pre-mutation repair state (or compute it fresh while the backend is
-   still untouched), apply the mutation if the crash preceded it, and
-   re-run the repair's sign phase.  Partial sign writes of the crashed
-   attempt were already rolled back, so [finish] recomputes them from
-   the same inputs the uninterrupted operation would have used. *)
-let roll_forward t o =
-  let resume kind ~touched ~apply =
-    let b = backend t kind in
-    let prepared =
-      match List.assoc_opt kind o.prepared with
-      | Some p -> p
-      | None -> Reannotator.prepare ~schema:t.sg b t.depend ~touched
-    in
-    let deleted_roots = if List.mem kind o.applied then 0 else apply b in
-    ignore
-      (Reannotator.finish ~schema:t.sg b t.depend prepared ~deleted_roots)
-  in
-  match o.op with
-  | Op_annotate _ | Op_annotate_subjects _ | Op_noop -> assert false
-  | Op_update query ->
+(* A structural operation as the trigger's touched expressions plus
+   its per-store apply, which returns the deleted (or grafted) root
+   count.  Paths are parsed here, before any epoch opens.  Insert
+   grafts into the native store first, then mirrors the fresh subtrees
+   — same universal ids — into both relational stores. *)
+let structural_steps t = function
+  | Ship_update query ->
       let expr = Xmlac_xpath.Parser.parse_exn query in
-      List.iter
-        (fun k ->
-          resume k ~touched:[ expr ] ~apply:(fun b ->
-              b.Backend.delete_update expr))
-        all_backend_kinds
-  | Op_insert { at; fragment } ->
+      ([ expr ], fun _ kind -> (backend t kind).Backend.delete_update expr)
+  | Ship_insert { at; fragment } ->
       let at_expr = Xmlac_xpath.Parser.parse_exn at in
-      let frag_root = (Tree.root fragment).Tree.name in
-      let touched = insert_touched ~at_expr ~frag_root in
+      let touched =
+        insert_touched ~at_expr ~frag_root:(Tree.root fragment).Tree.name
+      in
       let default_sign = Rule.effect_to_string (Policy.ds t.policy) in
-      (* Native first: the relational mirrors need the grafted roots. *)
-      resume Native ~touched ~apply:(fun _ ->
-          let roots =
-            Xmlac_xmldb.Update.insert_nodes t.doc ~at:at_expr ~fragment
-          in
-          o.new_roots <- roots;
-          List.length roots);
       let default_bits = Policy.default_bits t.policy in
-      let rel kind db =
-        resume kind ~touched ~apply:(fun _ ->
+      let apply o kind =
+        Fault.point (fault_prefix kind ^ ".insert");
+        (match kind with
+        | Native ->
+            o.new_roots <-
+              Xmlac_xmldb.Update.insert_nodes t.doc ~at:at_expr ~fragment
+        | Row_sql | Column_sql ->
+            let db = if kind = Row_sql then t.row_db else t.col_db in
             List.iter
               (fun root ->
                 ignore
                   (Xmlac_shrex.Shred.insert_subtree t.mapping ~default_sign
                      ~default_bits db root))
-              o.new_roots;
-            List.length o.new_roots)
+              o.new_roots);
+        List.length o.new_roots
       in
-      rel Row_sql t.row_db;
-      rel Column_sql t.col_db
+      (touched, apply)
+  | Ship_noop | Ship_annotate _ | Ship_annotate_subjects _ ->
+      invalid_arg "Engine: not a structural operation"
+
+(* The one structural body, shared by {!update}, {!insert} and
+   recovery's roll-forward: per store, prepare the repair and stash it
+   (unless an earlier attempt did), apply the mutation unless it
+   already landed there, then finish the repair.  A crashed attempt's
+   partial sign writes are rolled back before recovery re-enters, so
+   [finish] recomputes them from the inputs the uninterrupted run
+   used. *)
+let restructure t o (touched, apply) =
+  List.map
+    (fun kind ->
+      let b = backend t kind in
+      let prepared =
+        match List.assoc_opt kind o.prepared with
+        | Some p -> p
+        | None ->
+            let p = Reannotator.prepare ~schema:t.sg b t.depend ~touched in
+            o.prepared <- (kind, p) :: o.prepared;
+            p
+      in
+      let deleted_roots =
+        if List.mem kind o.applied then 0
+        else begin
+          let n = apply o kind in
+          o.applied <- kind :: o.applied;
+          n
+        end
+      in
+      (kind, Reannotator.finish ~schema:t.sg b t.depend prepared ~deleted_roots))
+    all_backend_kinds
+
+let run_structural t op =
+  let steps = structural_steps t op in
+  let o = begin_op t op in
+  let stats = restructure t o steps in
+  maintain_cam t
+    ~changed:(List.assoc Native stats).Reannotator.changed
+    ~roots:(List.map (fun (n : Tree.node) -> n.Tree.id) o.new_roots);
+  reannotate_bits t;
+  commit_op t o;
+  stats
+
+let update t query = run_structural t (Ship_update query)
+
+(* The open epoch keeps [fragment] as-is: the grafts deep-copy out of
+   it (engine.mli's aliasing contract). *)
+let insert t ~at ~fragment = run_structural t (Ship_insert { at; fragment })
+
+(* --- recovery ------------------------------------------------------ *)
 
 let recover t =
   (* The simulated restart: clear the kill and every armed trigger
@@ -779,19 +721,19 @@ let recover t =
       t.divergent <- o.saved_divergent;
       let direction, repaired =
         match o.op with
-        | Op_annotate _ | Op_annotate_subjects _ | Op_noop ->
+        | Ship_noop | Ship_annotate _ | Ship_annotate_subjects _ ->
             (* Annotation-only operation: the rollback above already
                restored the pre-epoch materialization — signs and
                bitmaps both — on every store. *)
             (`Back, [])
-        | Op_update _ | Op_insert _ ->
+        | Ship_update _ | Ship_insert _ ->
             (* Structural operation: the mutation may have reached some
-               stores; re-applying it everywhere and re-running the
-               repair converges all three on the post-operation
-               state.  Stores whose bitmaps were materialized get the
-               shared pass re-run too, as the uninterrupted operation
-               would have. *)
-            roll_forward t o;
+               stores; resuming the structural body everywhere
+               converges all three on the post-operation state.
+               Stores whose bitmaps were materialized get the shared
+               pass re-run too, as the uninterrupted operation would
+               have. *)
+            ignore (restructure t o (structural_steps t o.op));
             reannotate_bits t;
             (`Forward, all_backend_kinds)
       in
@@ -815,6 +757,27 @@ let recover t =
         signs_rolled_back;
         repaired;
       }
+
+type landed = Applied | Consumed | Untouched
+
+(* The one restart predicate: a crash left an epoch open, the fault
+   registry holds a kill, or a fault between the two [Wal.begin_epoch]
+   calls left a WAL epoch the engine never registered — a wedge that
+   makes every later [begin_epoch] refuse.  Each means nothing works
+   until [recover] plays the restart. *)
+let needs_restart t =
+  t.open_op <> None || Fault.killed ()
+  || Wal.open_epoch t.wal_row <> None
+  || Wal.open_epoch t.wal_col <> None
+
+(* The one settle rule for a failed mutation, given the committed
+   epoch before it started. *)
+let settle t ~since =
+  let direction = if needs_restart t then (recover t).direction else `None in
+  match direction with
+  | `Forward -> Applied
+  | `Back -> Consumed
+  | `None -> if t.sign_epoch > since then Applied else Untouched
 
 let accessible t kind =
   Backend.accessible_ids (backend t kind) ~default:(Policy.ds t.policy)
@@ -844,23 +807,18 @@ let consistent_subjects t =
 let read_only t = t.read_only
 let set_read_only t flag = t.read_only <- flag
 
-let noop_epoch t =
-  let o = begin_op t Op_noop in
-  commit_op t o
+let apply t = function
+  | Ship_noop -> commit_op t (begin_op t Ship_noop)
+  | Ship_annotate kind -> ignore (annotate t kind)
+  | Ship_annotate_subjects kind -> ignore (annotate_subjects t kind)
+  | Ship_update query -> ignore (update t query)
+  | Ship_insert { at; fragment } -> ignore (insert t ~at ~fragment)
 
 let apply_replica t op =
   Fault.point "repl.apply";
   let was = t.applying in
   t.applying <- true;
-  Fun.protect
-    ~finally:(fun () -> t.applying <- was)
-    (fun () ->
-      match op with
-      | Ship_noop -> noop_epoch t
-      | Ship_annotate kind -> ignore (annotate t kind)
-      | Ship_annotate_subjects kind -> ignore (annotate_subjects t kind)
-      | Ship_update query -> ignore (update t query)
-      | Ship_insert { at; fragment } -> ignore (insert t ~at ~fragment))
+  Fun.protect ~finally:(fun () -> t.applying <- was) (fun () -> apply t op)
 
 (* A deterministic digest of the enforcement-relevant materialization:
    the anonymous accessible set and every role's accessible set, per

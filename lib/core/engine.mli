@@ -50,7 +50,12 @@
     operations land on the post-operation materialization).  Either
     way the stores are back in lockstep, the CAM is rebuilt and a fresh
     snapshot published, and the epoch counter never runs backwards —
-    an aborted epoch's number is consumed. *)
+    an aborted epoch's number is consumed.
+
+    Where a failed call landed has one rule, {!settle}: [Serve] and
+    both replication roles ask it instead of inspecting the recovery,
+    and {!needs_restart} is the one test for whether a restart is
+    owed. *)
 
 type backend_kind = Native | Row_sql | Column_sql
 
@@ -329,7 +334,7 @@ type recovery = {
 }
 
 val recover : t -> recovery
-(** The simulated restart after a {!Xmlac_util.Fault.Crash}: clears
+(** The simulated restart owed while {!needs_restart} holds: clears
     the fault registry's kill state and every armed trigger
     ({!Xmlac_util.Fault.recover}), truncates both WALs to their last
     committed epoch ({!Xmlac_reldb.Wal.recover}), rolls partial sign
@@ -342,6 +347,25 @@ val recover : t -> recovery
     publish raised), and {e idempotent}: a second
     call after a completed recovery is a pure no-op — no epoch bump,
     no republish, no counter movement. *)
+
+val needs_restart : t -> bool
+(** The one restart predicate: an epoch is open, the fault registry
+    holds a kill ({!Xmlac_util.Fault.killed}), or a relational WAL has
+    an epoch open that the engine never registered (a fault between
+    the two begin markers).  While it holds, no epoch can begin and no
+    read may trust the current snapshot. *)
+
+type landed =
+  | Applied
+      (** Committed: recovery rolled the epoch forward, or the
+          committed epoch moved past [since] without a rollback. *)
+  | Consumed  (** Rolled back; its epoch number is used up. *)
+  | Untouched  (** Nothing committed, no epoch number consumed. *)
+
+val settle : t -> since:int -> landed
+(** The one settle rule for a failed mutation: {!recover} when
+    {!needs_restart} holds, then report where the operation landed,
+    given [since], the {!sign_epoch} read before it started. *)
 
 (** {1 Replication}
 
@@ -367,9 +391,13 @@ type shipped_op =
           both sides run the deterministic insert path over identical
           documents. *)
 
+val apply : t -> shipped_op -> unit
+(** Run one operation through its crash-safe entry point ({!annotate},
+    {!annotate_subjects}, {!update}, {!insert}); [Ship_noop] commits
+    an epoch that touches no store. *)
+
 val apply_replica : t -> shipped_op -> unit
-(** Replay one shipped epoch through the normal (crash-safe) mutation
-    path, bypassing the {!read_only} guard.  Crosses the
+(** {!apply}, bypassing the {!read_only} guard.  Crosses the
     ["repl.apply"] fault point first; a {!Xmlac_util.Fault.Crash}
     escaping mid-apply leaves an open epoch that {!recover} resolves
     into the pre- or post-epoch state, never a mix.

@@ -14,11 +14,7 @@ let role_to_string = function
 
 type config = {
   lag_threshold : int;
-  max_retries : int;
   max_reship : int;
-  backoff_base_s : float;
-  backoff_max_s : float;
-  sleep : float -> unit;
   seed : int64;
   drop_p : float;
   dup_p : float;
@@ -30,11 +26,7 @@ type config = {
 let default_config =
   {
     lag_threshold = 1;
-    max_retries = 3;
     max_reship = 8;
-    backoff_base_s = 0.005;
-    backoff_max_s = 0.1;
-    sleep = (fun _ -> ());
     seed = 1L;
     drop_p = 0.0;
     dup_p = 0.0;
@@ -129,12 +121,12 @@ let set_partitioned t id flag = (node t id).partitioned <- flag
 
 (* ---------- leader side: framing and shipping ---------- *)
 
-let backoff t n =
-  let cap =
-    min t.config.backoff_max_s
-      (t.config.backoff_base_s *. (2.0 ** float_of_int (n - 1)))
-  in
-  t.config.sleep (Prng.float t.rng (max cap 1e-9))
+(* Retries and re-ship requests back off like the serving layer, with
+   jitter from the cluster's own generator. *)
+let backoff t n = Serve.backoff t.config.serve t.rng n
+
+let may_retry t (err : Serve.error) n =
+  err.Serve.class_ = Serve.Transient && n <= t.config.serve.Serve.max_retries
 
 let frame_committed t op ~clean =
   let ld = leader t in
@@ -160,14 +152,6 @@ let frame_committed t op ~clean =
   Metrics.incr t.metrics "repl.framed";
   if op = Engine.Ship_noop then Metrics.incr t.metrics "repl.noops"
 
-let run_leader_op eng = function
-  | Engine.Ship_noop -> invalid_arg "Replicate.apply: Ship_noop"
-  | Engine.Ship_annotate k -> ignore (Engine.annotate eng k)
-  | Engine.Ship_annotate_subjects k -> ignore (Engine.annotate_subjects eng k)
-  | Engine.Ship_update q -> ignore (Engine.update eng q)
-  | Engine.Ship_insert { at; fragment } ->
-      ignore (Engine.insert eng ~at ~fragment)
-
 let dead_leader_error =
   {
     Serve.class_ = Serve.Fatal;
@@ -176,58 +160,45 @@ let dead_leader_error =
     message = "leader is dead (kill_leader); promote a follower";
   }
 
+(* [Engine.settle], counting the restart a node owes. *)
+let settle t eng ~since =
+  if Engine.needs_restart eng then Metrics.incr t.metrics "repl.node_restarts";
+  Engine.settle eng ~since
+
 let apply t op =
   if not t.leader_alive then Error dead_leader_error
+  else if op = Engine.Ship_noop then invalid_arg "Replicate.apply: Ship_noop"
   else begin
     let eng = leader_engine t in
     let rec go n =
-      let e0 = Engine.sign_epoch eng in
-      match run_leader_op eng op with
+      let since = Engine.sign_epoch eng in
+      match Engine.apply eng op with
       | () ->
           frame_committed t op ~clean:true;
           Ok ()
       | exception exn -> (
           let err = Serve.error_of_exn ~attempts:n exn in
-          let retry () =
-            if err.Serve.class_ = Serve.Transient && n <= t.config.max_retries
-            then begin
-              Metrics.incr t.metrics "repl.retries";
-              backoff t n;
-              go (n + 1)
-            end
-            else begin
-              Metrics.incr t.metrics "repl.errors";
-              Error err
-            end
-          in
-          if Engine.open_epoch eng <> None || Fault.killed () then begin
-            Metrics.incr t.metrics "repl.node_restarts";
-            let r = Engine.recover eng in
-            match (r.Engine.recovered_epoch, r.Engine.direction) with
-            | Some _, `Forward ->
-                (* The structural mutation committed under recovery:
-                   frame the op itself (recovered batch, so no WAL
-                   cross-check). *)
-                frame_committed t op ~clean:false;
-                Ok ()
-            | Some _, _ ->
-                (* The epoch aborted but its number is consumed:
-                   replicas must consume it too. *)
+          (* A recovered epoch's WAL batch holds the aborted attempt
+             plus compensation, so it ships without the WAL
+             cross-check. *)
+          match settle t eng ~since with
+          | Engine.Applied ->
+              frame_committed t op ~clean:false;
+              Ok ()
+          | landed ->
+              (* An aborted epoch's number is consumed: replicas must
+                 consume it too. *)
+              if landed = Engine.Consumed then
                 frame_committed t Engine.Ship_noop ~clean:false;
-                retry ()
-            | None, _ ->
-                if Engine.sign_epoch eng > e0 then begin
-                  (* Crash after commit, before publish: durable. *)
-                  frame_committed t op ~clean:false;
-                  Ok ()
-                end
-                else retry ()
-          end
-          else if Engine.sign_epoch eng > e0 then begin
-            frame_committed t op ~clean:false;
-            Ok ()
-          end
-          else retry ())
+              if may_retry t err n then begin
+                Metrics.incr t.metrics "repl.retries";
+                backoff t n;
+                go (n + 1)
+              end
+              else begin
+                Metrics.incr t.metrics "repl.errors";
+                Error err
+              end)
     in
     go 1
   end
@@ -375,8 +346,8 @@ let apply_frame t n f =
       request_reship t n
   | Ok op ->
       let rec attempt k =
-        n.inflight <- Some (Frame.epoch f, Engine.sign_epoch n.eng);
-        let e0 = Engine.sign_epoch n.eng in
+        let since = Engine.sign_epoch n.eng in
+        n.inflight <- Some (Frame.epoch f, since);
         match Engine.apply_replica n.eng op with
         | () -> finish_applied t n f ~clean:true
         | exception (Fault.Crash _ as exn) ->
@@ -386,34 +357,16 @@ let apply_frame t n f =
             raise exn
         | exception exn -> (
             let err = Serve.error_of_exn ~attempts:k exn in
-            let committed_anyway r =
-              match r with
-              | Some rr ->
-                  rr.Engine.direction = `Forward
-                  || rr.Engine.recovered_epoch = None
-                     && Engine.sign_epoch n.eng > e0
-              | None -> Engine.sign_epoch n.eng > e0
-            in
-            let recovery =
-              if Engine.open_epoch n.eng <> None || Fault.killed () then begin
-                Metrics.incr t.metrics "repl.node_restarts";
-                Some (Engine.recover n.eng)
-              end
-              else None
-            in
-            if committed_anyway recovery then finish_applied t n f ~clean:false
-            else if
-              err.Serve.class_ = Serve.Transient && k <= t.config.max_retries
-            then begin
-              Metrics.incr t.metrics "repl.retries";
-              backoff t k;
-              attempt (k + 1)
-            end
-            else begin
-              Metrics.incr t.metrics "repl.rejected";
-              n.inflight <- None;
-              request_reship t n
-            end)
+            match settle t n.eng ~since with
+            | Engine.Applied -> finish_applied t n f ~clean:false
+            | Engine.Consumed | Engine.Untouched when may_retry t err k ->
+                Metrics.incr t.metrics "repl.retries";
+                backoff t k;
+                attempt (k + 1)
+            | Engine.Consumed | Engine.Untouched ->
+                Metrics.incr t.metrics "repl.rejected";
+                n.inflight <- None;
+                request_reship t n)
       in
       attempt 1
 
@@ -457,24 +410,20 @@ let deliver t n =
 
 (* ---------- restarts ---------- *)
 
-(* The kill flag is process-global, so healing the cluster's first
-   node clears it for everyone; a later node's crash can then only be
-   seen in its own residue — an epoch left open, or an [inflight]
-   marker a completed apply would have cleared.  All three trigger the
-   restart protocol. *)
+(* The restart protocol.  The engine's predicate says whether a
+   restart is owed; replication adds one residue of its own, the
+   [inflight] marker a completed apply would have cleared.  The fault
+   registry is process-global, so healing any node clears a kill for
+   every node, and a later node's crash shows only in that residue or
+   in its engine's open or dangling epoch. *)
 let heal_node t n =
-  if Engine.open_epoch n.eng <> None || Fault.killed () || n.inflight <> None
-  then begin
-    Metrics.incr t.metrics "repl.node_restarts";
-    let r = Engine.recover n.eng in
-    match n.inflight with
-    | Some (se, e0) ->
-        n.inflight <- None;
-        let committed_anyway =
-          r.Engine.direction = `Forward
-          || (r.Engine.recovered_epoch = None && Engine.sign_epoch n.eng > e0)
-        in
-        if committed_anyway then (
+  match n.inflight with
+  | None -> ignore (settle t n.eng ~since:0)
+  | Some (se, since) -> (
+      Metrics.incr t.metrics "repl.node_restarts";
+      n.inflight <- None;
+      match Engine.settle n.eng ~since with
+      | Engine.Applied -> (
           match Hashtbl.find_opt t.frames se with
           | Some f -> finish_applied ~ack:false t n f ~clean:false
           | None ->
@@ -482,12 +431,9 @@ let heal_node t n =
                  shorter tail): this node holds an epoch the new leader
                  never committed. *)
               mark_diverged t n)
-        else
-          (* Rolled back: pre-epoch state, the frame will be
-             re-shipped. *)
-          request_reship t n
-    | None -> ()
-  end
+      | Engine.Consumed | Engine.Untouched ->
+          (* Pre-epoch state: the frame will be re-shipped. *)
+          request_reship t n)
 
 let heal t =
   List.iter

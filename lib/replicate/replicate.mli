@@ -46,24 +46,24 @@ type config = {
   lag_threshold : int;
       (** Serve follower reads while lag (committed - applied) is at
           most this many epochs; beyond it, blanket-deny. *)
-  max_retries : int;  (** Transient retries per frame apply / leader op. *)
   max_reship : int;
       (** Re-ship requests a follower may make without progress before
           it stops asking ([repl.reship_exhausted]). *)
-  backoff_base_s : float;  (** First retry's maximum jittered backoff. *)
-  backoff_max_s : float;  (** Backoff growth cap. *)
-  sleep : float -> unit;  (** Receives each backoff delay (default no-op). *)
   seed : int64;  (** Seeds transport chaos and backoff jitter. *)
   drop_p : float;  (** Per-frame drop probability. *)
   dup_p : float;  (** Per-frame duplicate probability. *)
   reorder_p : float;  (** Per-frame reorder (swap-newest-two) probability. *)
   torn_p : float;  (** Per-frame torn-payload probability. *)
-  serve : Serve.config;  (** Per-node serving-layer configuration. *)
+  serve : Serve.config;
+      (** Per-node serving-layer configuration.  The cluster's own
+          retries (frame apply, leader op) and re-ship requests also
+          take their bound ([max_retries]) and backoff from it, via
+          {!Xmlac_serve.Serve.backoff} with jitter from [seed]. *)
 }
 
 val default_config : config
-(** [lag_threshold = 1], 3 retries, 8 re-ships, 5ms/100ms backoff,
-    no-op sleep, seed 1, all chaos probabilities 0. *)
+(** [lag_threshold = 1], 8 re-ships, seed 1, all chaos probabilities
+    0, {!Xmlac_serve.Serve.default_config}. *)
 
 type t
 
@@ -82,13 +82,15 @@ val create :
 
 (** {1 Leader mutations}
 
-    Each committed operation frames one stream epoch.  A leader-side
-    crash is played as a restart: roll-forward recovery frames the
-    operation itself; a rolled-back epoch frames a [Ship_noop] so
-    replicas consume the aborted epoch number too. *)
+    Each committed operation frames one stream epoch. *)
 
 val apply : t -> Engine.shipped_op -> (unit, Serve.error) result
-(** @raise Invalid_argument on [Ship_noop] (noops are synthesized
+(** Run [op] on the leader ({!Xmlac_core.Engine.apply}).  A failed
+    attempt is settled by {!Xmlac_core.Engine.settle}: [Applied]
+    frames the operation itself, [Consumed] frames a [Ship_noop] so
+    replicas consume the aborted epoch number too, and a transient
+    fault is then retried up to the serving config's [max_retries].
+    @raise Invalid_argument on [Ship_noop] (noops are synthesized
     internally for aborted epochs, never submitted). *)
 
 val update : t -> string -> (unit, Serve.error) result
@@ -123,10 +125,10 @@ val sync : ?rounds:int -> t -> bool
     (partitioned and divergent nodes are excluded — they cannot). *)
 
 val heal : t -> unit
-(** Restart protocol for killed nodes: {!Engine.recover} wherever an
-    epoch is open (or the fault registry holds a kill), then resolve
-    the node's in-flight frame — applied if recovery rolled forward
-    (digest-checked like any apply), re-shipped if it rolled back. *)
+(** Restart protocol for killed nodes: {!Engine.recover} wherever
+    {!Engine.needs_restart} holds, and resolve a node's in-flight
+    frame by {!Engine.settle} — applied if it landed [Applied]
+    (digest-checked like any apply), re-shipped otherwise. *)
 
 (** {1 Reads} *)
 

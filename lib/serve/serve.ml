@@ -124,26 +124,10 @@ let error_of_exn ?(attempts = 0) exn =
 
 (* ---------- self-healing ---------- *)
 
-(* A fault between the two [Wal.begin_epoch] calls leaves one WAL
-   with an open epoch while the engine never registered an open
-   operation — a wedge that would make every later [begin_epoch]
-   refuse.  Recovery truncates it away. *)
-let wal_dangling t =
-  Engine.open_epoch t.eng = None
-  && List.exists
-       (fun kind ->
-         match Engine.wal t.eng kind with
-         | Some w -> Xmlac_reldb.Wal.open_epoch w <> None
-         | None -> false)
-       Engine.all_backend_kinds
-
-(* If a previous call crashed mid-epoch (or poisoned the fault
-   registry's kill state, or left a WAL epoch dangling), nothing works
-   until recovery runs — play the restart before touching the
-   engine. *)
+(* While the engine owes a restart ({!Engine.needs_restart}), nothing
+   works until recovery runs — play it before touching the engine. *)
 let heal t =
-  if Engine.open_epoch t.eng <> None || Fault.killed () || wal_dangling t
-  then begin
+  if Engine.needs_restart t.eng then begin
     Metrics.incr (metrics t) "serve.auto_recoveries";
     ignore (Engine.recover t.eng)
   end
@@ -158,12 +142,12 @@ type reply = {
   attempts : int;
 }
 
-let backoff t n =
+let backoff config rng n =
   let cap =
-    min t.config.backoff_max_s
-      (t.config.backoff_base_s *. (2.0 ** float_of_int (n - 1)))
+    min config.backoff_max_s
+      (config.backoff_base_s *. (2.0 ** float_of_int (n - 1)))
   in
-  t.config.sleep (Prng.float t.rng (max cap 0.0))
+  config.sleep (Prng.float rng (max cap 0.0))
 
 (* [query] answered from [snap] under the deadline, with transient
    retries — the loop every non-live read shares.  Never consults the
@@ -181,7 +165,7 @@ let snapshot_answer ~served ?subject ?lane t snap query =
           try Snapshot.request ?subject ?lane snap query
           with Fault.Transient _ when n <= t.config.max_retries ->
             Metrics.incr m "serve.retries";
-            backoff t n;
+            backoff t.config t.rng n;
             go (n + 1)
         in
         go 1)
@@ -205,7 +189,7 @@ let snapshot_request ?subject ?lane t snap query =
    than the committed state would, never grant more. *)
 let gated_request ?subject ?lane ~admit ~served ~denials t query =
   let snap =
-    if (not admit) || Engine.open_epoch t.eng <> None || Fault.killed () then
+    if (not admit) || Engine.needs_restart t.eng then
       None
     else
       match Engine.read_snapshot t.eng with
@@ -244,7 +228,7 @@ let live_request ?subject ?lane t kind br query =
           try Engine.request ?subject ?lane t.eng kind query
           with Fault.Transient _ when n <= t.config.max_retries ->
             Metrics.incr m "serve.retries";
-            backoff t n;
+            backoff t.config t.rng n;
             go (n + 1)
         in
         go 1)
@@ -346,13 +330,8 @@ let apply_mutation t = function
 let run_mutation t mu =
   let m = metrics t in
   let rec go n =
-    (* A retried attempt may follow a fault that left a WAL epoch
-       dangling; clear it before applying again. *)
     heal t;
-    (* The committed epoch as of this attempt: a fault raised {e after}
-       the epoch advanced past it (e.g. at the snapshot-publish points)
-       means the mutation is durable and must not be re-applied. *)
-    let committed0 = Engine.sign_epoch t.eng in
+    let since = Engine.sign_epoch t.eng in
     match
       Deadline.with_budget ~label:"mutation" ?ticks:t.config.deadline_ticks
         ?seconds:t.config.deadline_seconds
@@ -363,56 +342,26 @@ let run_mutation t mu =
         Ok (Applied stats)
     | exception exn -> (
         let err = error_of_exn ~attempts:n exn in
-        if Engine.open_epoch t.eng <> None || Fault.killed () then begin
-          (* The fault interrupted the epoch: play the restart.
-             Structural operations recover by roll-forward — the
-             mutation committed anyway.  A crash that hit after the
-             commit itself (no open epoch, but the counter moved)
-             already has nothing to recover; the same report fits. *)
+        if Engine.needs_restart t.eng then
           Metrics.incr m "serve.auto_recoveries";
-          let r = Engine.recover t.eng in
-          if
-            r.Engine.direction = `Forward
-            || Engine.sign_epoch t.eng > committed0
-          then begin
+        match Engine.settle t.eng ~since with
+        | Engine.Applied ->
+            (* Committed anyway: recovery rolled it forward, or the
+               fault hit past the commit point.  Retrying would apply
+               it twice. *)
             Metrics.incr m "serve.recovered_mutations";
             record_failure t err.site;
             Ok Recovered
-          end
-          else if err.class_ = Transient && n <= t.config.max_retries then begin
+        | Engine.Consumed | Engine.Untouched
+          when err.class_ = Transient && n <= t.config.max_retries ->
             Metrics.incr m "serve.retries";
-            backoff t n;
+            backoff t.config t.rng n;
             go (n + 1)
-          end
-          else begin
+        | Engine.Consumed | Engine.Untouched ->
             record_failure t err.site;
             Metrics.incr m "serve.errors";
-            Metrics.incr m
-              ("serve.errors." ^ error_class_to_string err.class_);
-            Error err
-          end
-        end
-        else if Engine.sign_epoch t.eng > committed0 then begin
-          (* Transient fault past the commit point: the epoch is
-             durable, only the snapshot publish was interrupted — the
-             next read catches it up.  Retrying would apply the
-             mutation twice. *)
-          Metrics.incr m "serve.recovered_mutations";
-          record_failure t err.site;
-          Ok Recovered
-        end
-        else if err.class_ = Transient && n <= t.config.max_retries then begin
-          (* Fault before the epoch opened: plain retry. *)
-          Metrics.incr m "serve.retries";
-          backoff t n;
-          go (n + 1)
-        end
-        else begin
-          record_failure t err.site;
-          Metrics.incr m "serve.errors";
-          Metrics.incr m ("serve.errors." ^ error_class_to_string err.class_);
-          Error err
-        end)
+            Metrics.incr m ("serve.errors." ^ error_class_to_string err.class_);
+            Error err)
   in
   go 1
 

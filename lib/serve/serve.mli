@@ -35,12 +35,14 @@
     so worker domains running pinned reads can never block on (or be
     corrupted by) the writer's next epoch.
 
-    The layer also self-heals: if a fault killed the process mid-epoch
-    (open epoch, poisoned fault registry), the next call through the
+    The layer also self-heals: while the engine owes a restart
+    ({!Xmlac_core.Engine.needs_restart}: an open epoch, a poisoned
+    fault registry, a dangling WAL epoch), the next call through the
     layer runs {!Xmlac_core.Engine.recover} before doing anything
-    else, and a mutation whose recovery rolled {e forward} is reported
-    as {!mutation_outcome.Recovered} — committed, just not on the
-    first try. *)
+    else.  A failed mutation's outcome is the engine's
+    {!Xmlac_core.Engine.settle} verdict: [Applied] is reported as
+    {!mutation_outcome.Recovered} — committed, just not on the first
+    try — and anything else is retried if transient. *)
 
 module Engine := Xmlac_core.Engine
 
@@ -95,6 +97,12 @@ type config = {
 val default_config : config
 (** No deadline, [max_retries = 2], base/cap 5ms/100ms, no-op sleep,
     {!Breaker.default_config}, [queue_capacity = 16], seed 1. *)
+
+val backoff : config -> Xmlac_util.Prng.t -> int -> unit
+(** [backoff config rng n] sleeps before retry [n]: a jittered delay
+    drawn from [rng], at most [backoff_base_s * 2^(n-1)] capped at
+    [backoff_max_s].  Replication's retries and re-ship requests use
+    it with the cluster's own generator. *)
 
 type t
 
@@ -168,9 +176,9 @@ val gated_request :
   (reply, error) result
 (** The fail-closed read gate for every read that is not live: answer
     from {!Xmlac_core.Engine.read_snapshot} (deadline, retries, served
-    as [served]) only when the caller's condition [admit] holds, no
-    epoch is open, no crash awaits recovery and the catch-up publish
-    succeeds; otherwise [Denied { blocked = 0 }] served [Degraded],
+    as [served]) only when the caller's condition [admit] holds, the
+    engine owes no restart ({!Xmlac_core.Engine.needs_restart}) and
+    the catch-up publish succeeds; otherwise [Denied { blocked = 0 }] served [Degraded],
     counted under [denials] (registry, counter name).  Never touches
     the live stores or the breakers, and never recovers. *)
 
@@ -203,8 +211,9 @@ type mutation_outcome =
   | Applied of (Engine.backend_kind * Xmlac_core.Reannotator.stats) list
       (** Committed on the live path. *)
   | Recovered
-      (** A fault interrupted the epoch; roll-forward recovery
-          committed the operation anyway. *)
+      (** The call failed but the operation committed anyway
+          ({!Xmlac_core.Engine.settle} said [Applied]: recovery rolled
+          it forward, or the fault hit past the commit). *)
   | Queued of int
       (** Held for {!drain} while degraded; payload is the queue
           length after enqueue. *)
@@ -212,11 +221,12 @@ type mutation_outcome =
 val mutate : t -> mutation -> (mutation_outcome, error) result
 (** Applies the mutation through every store.  While any breaker is
     open the mutation is queued (or rejected once [queue_capacity] is
-    reached).  On the live path, transient faults that left no epoch
-    open are retried; faults that interrupted an epoch trigger
-    automatic recovery ([Recovered] when it rolled forward).  A
-    snapshot publish that failed after the commit is finished by the
-    next read ({!Xmlac_core.Engine.read_snapshot}). *)
+    reached).  On the live path a failed attempt is settled by
+    {!Xmlac_core.Engine.settle}: [Recovered] when it landed [Applied],
+    otherwise a transient fault is retried (at most [max_retries]
+    times) and anything else is an error.  A snapshot publish that
+    failed after the commit is finished by the next read
+    ({!Xmlac_core.Engine.read_snapshot}). *)
 
 val update : t -> string -> (mutation_outcome, error) result
 val insert :

@@ -143,14 +143,22 @@ let kill_offsets hits =
     (fun k -> k >= 1 && k <= hits)
     (List.sort_uniq compare [ 1; (hits + 1) / 2; hits ])
 
-(* The deterministic sweep: scout the operation once to learn every
-   fault point it crosses (and how often), then for each point and a
-   few kill offsets build a fresh engine, crash there, recover, and
-   check the atomicity contract — each store lands extensionally on
-   the pre- or the post-operation materialization, never a mix; the
-   epoch counter never runs backwards; the fast lane is coherent.
-   [structural] marks operations whose single epoch spans all three
-   stores (recovery rolls them forward together). *)
+let landed_name = function
+  | Engine.Applied -> "applied"
+  | Engine.Consumed -> "consumed"
+  | Engine.Untouched -> "untouched"
+
+(* The deterministic sweep: scout the operation (one epoch) once to
+   learn every fault point it crosses (and how often), then for each
+   point and a few kill offsets build a fresh engine, crash there,
+   settle, and check the atomicity contract — each store lands
+   extensionally on the pre- or the post-operation materialization,
+   never a mix; the epoch counter never runs backwards; the fast lane
+   is coherent; and [Engine.settle]'s verdict names where it landed:
+   [Applied] iff post, [Consumed] iff pre with the epoch number used,
+   [Untouched] otherwise.  [structural] marks operations whose single
+   epoch spans all three stores (recovery rolls them forward
+   together). *)
 let crash_sweep ~name ~make_engine ~prep ~op ~structural ~sets () =
   Fault.reset ();
   let scout = make_engine () in
@@ -173,6 +181,8 @@ let crash_sweep ~name ~make_engine ~prep ~op ~structural ~sets () =
   prep post_twin;
   op post_twin;
   let post = sets post_twin in
+  Alcotest.(check bool) (name ^ ": the operation changes the sets") true
+    (pre <> post);
   List.iter
     (fun (pt, hits) ->
       List.iter
@@ -185,18 +195,26 @@ let crash_sweep ~name ~make_engine ~prep ~op ~structural ~sets () =
           (match op eng with
           | () -> Alcotest.failf "%s: %s (After %d) did not fire" name pt k
           | exception Fault.Crash _ -> ());
-          let r = Engine.recover eng in
+          let crashed_epoch = Engine.open_epoch eng in
+          let landed = Engine.settle eng ~since:e0 in
           let ctx = Printf.sprintf "%s: crash at %s hit %d" name pt k in
           Alcotest.(check bool) (ctx ^ ": epoch monotone") true
             (Engine.sign_epoch eng >= e0);
           Alcotest.(check (option int)) (ctx ^ ": no epoch left open") None
             (Engine.open_epoch eng);
-          (match r.Engine.recovered_epoch with
+          (match crashed_epoch with
           | Some n ->
               Alcotest.(check int) (ctx ^ ": aborted epoch consumed") n
                 (Engine.sign_epoch eng)
           | None -> ());
           let now = sets eng in
+          Alcotest.(check string) (ctx ^ ": settle verdict")
+            (landed_name
+               (if now = post then Engine.Applied
+                else if now = pre && Engine.sign_epoch eng > e0 then
+                  Engine.Consumed
+                else Engine.Untouched))
+            (landed_name landed);
           let sides =
             List.map
               (fun kind ->
@@ -224,11 +242,31 @@ let crash_sweep ~name ~make_engine ~prep ~op ~structural ~sets () =
 
 let annotate_all eng = ignore (Engine.annotate_all eng)
 
+(* An annotation sweep runs once per store's epoch, the stores before
+   it annotated first, so each epoch's points are killed at their own
+   first, middle and last hit and a settle verdict speaks for one
+   epoch. *)
+let crash_sweep_annotations ~name ~make_engine ~annotate ~sets () =
+  List.iter
+    (fun kind ->
+      let rec before = function
+        | k :: rest when k <> kind -> k :: before rest
+        | _ -> []
+      in
+      crash_sweep
+        ~name:(name ^ " " ^ Engine.backend_kind_to_string kind)
+        ~make_engine
+        ~prep:(fun eng ->
+          List.iter (annotate eng) (before Engine.all_backend_kinds))
+        ~op:(fun eng -> annotate eng kind)
+        ~structural:false ~sets ())
+    Engine.all_backend_kinds
+
 let test_crash_sweep_annotate () =
-  crash_sweep ~name:"annotate"
+  crash_sweep_annotations ~name:"annotate"
     ~make_engine:(hospital_fixture ())
-    ~prep:(fun _ -> ())
-    ~op:annotate_all ~structural:false ~sets:accessible_sets ()
+    ~annotate:(fun eng k -> ignore (Engine.annotate eng k))
+    ~sets:accessible_sets ()
 
 let test_crash_sweep_update () =
   crash_sweep ~name:"update"
@@ -279,11 +317,10 @@ let accessible_subject_sets eng =
     Engine.all_backend_kinds
 
 let test_crash_sweep_annotate_subjects () =
-  crash_sweep ~name:"annotate-subjects"
+  crash_sweep_annotations ~name:"annotate-subjects"
     ~make_engine:(hospital_roles_fixture ())
-    ~prep:(fun _ -> ())
-    ~op:(fun eng -> ignore (Engine.annotate_subjects_all eng))
-    ~structural:false ~sets:accessible_subject_sets ()
+    ~annotate:(fun eng k -> ignore (Engine.annotate_subjects eng k))
+    ~sets:accessible_subject_sets ()
 
 (* The ISSUE's coverage floor: the mutating paths cross named points
    spanning the WAL, relational sign UPDATEs, native sign stamping,

@@ -284,6 +284,36 @@ let test_leader_abort_ships_noop () =
   check_twin_engines "after noop" (Repl.leader_engine t) (Repl.engine t 1)
     sample_queries
 
+(* A one-shot transient at the second [wal.begin] leaves one WAL with
+   an epoch the engine never registered.  The engine's restart
+   predicate sees it, so the failed attempt is settled (recovery
+   truncates the dangling marker) and the retry commits — on the
+   leader, and on a follower applying a frame. *)
+let test_leader_dangling_wal_epoch () =
+  let t = mk_cluster ~followers:1 () in
+  ok "annotate_all" (Repl.annotate_all t);
+  Alcotest.(check bool) "baseline sync" true (Repl.sync t);
+  Fault.arm_transient "wal.begin" (Fault.After 2);
+  ok "update after the transient" (Repl.update t "//patient/treatment");
+  ok "next update" (Repl.update t "//patient/name");
+  Alcotest.(check int) "stream and leader epochs agree"
+    (Engine.sign_epoch (Repl.leader_engine t))
+    (Repl.committed t);
+  Fault.reset ()
+
+let test_follower_dangling_wal_epoch () =
+  let t = mk_cluster ~followers:1 () in
+  ok "annotate_all" (Repl.annotate_all t);
+  Alcotest.(check bool) "baseline sync" true (Repl.sync t);
+  ok "update" (Repl.update t "//patient/treatment");
+  Fault.arm_transient "wal.begin" (Fault.After 2);
+  Repl.pump t;
+  Fault.disarm_all ();
+  Alcotest.(check bool) "converges" true (Repl.sync t);
+  Alcotest.(check int) "follower lag" 0 (Repl.lag t 1);
+  check_replica_reads t 1 (Repl.leader_engine t) sample_queries;
+  Fault.reset ()
+
 (* ------------------------------------------------------------------ *)
 (* Chaos transport: drops, duplicates, reorders, torn frames. *)
 
@@ -695,6 +725,10 @@ let () =
           tc "follower refuses direct mutation"
             test_follower_refuses_direct_mutation;
           tc "leader abort ships a noop epoch" test_leader_abort_ships_noop;
+          tc "leader settles a dangling WAL epoch"
+            test_leader_dangling_wal_epoch;
+          tc "follower settles a dangling WAL epoch"
+            test_follower_dangling_wal_epoch;
         ] );
       ( "chaos",
         [
